@@ -1,36 +1,37 @@
-// bench_perf_ingest — the real-trace front door under load, and the
-// ISSUE-9 fast-path ledger: every layer of the zero-copy ingest path is
-// timed against the retained baseline it replaced.
+// bench_perf_ingest — the real-trace front door under load, layer by
+// layer on the one production pcap path.
 //
 // The bench writes its own synthetic captures (raw-IP pcap and lbl-pkt
 // ASCII, a fixed population of interleaved TCP flows, deterministic) and
 // emits six rows into BENCH_perf.json:
 //
-//   * ingest_pcap_stream        — MB/s + the ISSUE-5 RSS criterion: peak
+//   * ingest_pcap_stream        — MB/s + the bounded-RSS criterion: peak
 //     RSS growth is set by chunk size and open-flow population, not by
 //     capture length (rss_bounded).
-//   * pcap_reader_mmap_vs_ifstream — raw record drain, MmapPcapReader
-//     (mmap + next_batch) against the ifstream PcapReader.
-//   * flow_table_flat_vs_node   — the open-addressing FlowTable against
-//     NodeFlowTable (unordered_map + std::list) on pre-decoded packets.
+//   * pcap_reader_mmap          — raw record drain MB/s, MmapPcapReader
+//     (mmap + next_batch); identical = the buffered pread byte source
+//     drains the same packets.
+//   * flow_table_flat           — pkts/s of the open-addressing
+//     FlowTable on pre-decoded packets.
 //   * pcap_decode_columnar_vs_row — direct decode into PacketColumns
 //     against the row-chunk source + transpose.
-//   * ingest_e2e_fastpath_vs_pr5 — THE GATE: pcap -> analyze, fast path
-//     (mmap + flat table + columnar) vs the PR-5 configuration
-//     (ifstream + node table + row pipeline). Full-size runs must show
-//     >= 3x with byte-identical results; --smoke records the ratio but
-//     only enforces identity (CI captures are too small to time).
+//   * ingest_e2e_onepass        — pcap -> count-process analysis end to
+//     end, MB/s of the deferred-prescan one-pass analysis (the tool's
+//     --stream path); identical = the eager two-pass analysis gives the
+//     same result.
 //   * ingest_lbl_pkt_ascii      — ITA ASCII parse throughput on the
 //     std::from_chars tokenizer.
 //
-// In every A/B row serial_ms is the baseline and parallel_ms the fast
-// path, so `speedup` reads as "fast path is Nx the baseline"; all rows
-// are single-threaded. Exit is nonzero when any identity check, the RSS
-// bound, or the (full-size) 3x gate fails.
+// In the one A/B row serial_ms is the baseline and parallel_ms the fast
+// path, so `speedup` reads as "fast path is Nx the baseline"; the
+// absolute rows carry the same time in both columns. All rows are
+// single-threaded. Exit is nonzero when any identity check or the RSS
+// bound fails.
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -171,7 +172,7 @@ std::uint64_t write_lbl_pkt(const std::string& path, std::size_t packets,
 }
 
 /// FNV-1a over 64-bit words: order-sensitive output checksums so the
-/// A/B identity checks catch any divergence, not just count drift.
+/// identity checks catch any divergence, not just count drift.
 struct Fnv {
   std::uint64_t h = 1469598103934665603ull;
   void mix(std::uint64_t v) {
@@ -207,28 +208,8 @@ struct DrainSum {
   }
 };
 
-/// Raw record drain through the ifstream reader: next() per record.
-DrainSum drain_ifstream(const std::string& path) {
-  ingest::PcapReader reader(path, ingest::ParseMode::kStrict);
-  ingest::RawPacket pkt;
-  Fnv f;
-  DrainSum s;
-  while (reader.next(pkt)) {
-    ++s.packets;
-    f.mix(pkt.time);
-    f.mix((static_cast<std::uint64_t>(pkt.src_ip) << 32) | pkt.dst_ip);
-    f.mix((static_cast<std::uint64_t>(pkt.src_port) << 48) |
-          (static_cast<std::uint64_t>(pkt.dst_port) << 32) |
-          (static_cast<std::uint64_t>(pkt.tcp_flags) << 24) |
-          pkt.payload_bytes);
-  }
-  s.checksum = f.h;
-  return s;
-}
-
-/// The same drain through the mmap reader's batch interface.
-DrainSum drain_mmap(const std::string& path) {
-  ingest::MmapPcapReader reader(path, ingest::ParseMode::kStrict);
+/// Raw record drain through the reader's batch interface.
+DrainSum drain_reader(ingest::MmapPcapReader& reader) {
   std::vector<ingest::RawPacket> batch;
   Fnv f;
   DrainSum s;
@@ -248,12 +229,16 @@ DrainSum drain_mmap(const std::string& path) {
   return s;
 }
 
-/// Folds pre-decoded packets through a flow table and checksums every
+/// Folds pre-decoded packets through the flow table and checksums every
 /// emitted PacketRecord and closed ConnRecord — the table's complete
-/// observable output, so flat == node here means the decisions agree.
-template <typename Table>
-DrainSum fold_table(const std::vector<ingest::RawPacket>& pkts) {
-  Table table{ingest::FlowTableConfig{}};
+/// observable output.
+struct FoldSum {
+  DrainSum sum;
+  std::size_t conns = 0;
+};
+
+FoldSum fold_table(const std::vector<ingest::RawPacket>& pkts) {
+  ingest::FlowTable table{ingest::FlowTableConfig{}};
   std::vector<trace::ConnRecord> conns;
   Fnv f;
   DrainSum s;
@@ -266,7 +251,7 @@ DrainSum fold_table(const std::vector<ingest::RawPacket>& pkts) {
   for (const trace::ConnRecord& c : conns) f.mix(c);
   f.mix(static_cast<std::uint64_t>(conns.size()));
   s.checksum = f.h;
-  return s;
+  return {s, conns.size()};
 }
 
 /// Row-source drain: PacketRecord chunks off the mmap reader + flat
@@ -327,6 +312,7 @@ IngestRun run_ingest(const std::string& path) {
 
 /// One baseline-vs-fast row: serial_ms is the baseline, parallel_ms the
 /// fast path, both single-threaded, identity from the caller's check.
+/// An absolute row passes the same time as both.
 bench::BenchResult ab_row(const std::string& op, double items,
                           const std::string& unit, double baseline_ms,
                           double fast_ms, bool identical) {
@@ -420,33 +406,41 @@ int main(int argc, char** argv) {
     harness.add(r);
   }
 
-  // --- Row 2: raw record drain, mmap reader vs ifstream reader.
-  DrainSum rd_base, rd_fast;
-  const double rd_base_ms = bench::min_time_ms(
-      [&] { rd_base = drain_ifstream(large_path); }, reps);
-  const double rd_fast_ms =
-      bench::min_time_ms([&] { rd_fast = drain_mmap(large_path); }, reps);
-  const bool rd_ok = rd_base == rd_fast && rd_base.packets == large_n;
-  harness.add(ab_row(std::string("pcap_reader_mmap_vs_ifstream/") + tag,
-                     large_mb, "MB", rd_base_ms, rd_fast_ms, rd_ok));
+  // --- Row 2: raw record drain through the mapping; the buffered pread
+  // byte source must drain the same packets.
+  DrainSum rd_mapped, rd_buffered;
+  const double rd_ms = bench::min_time_ms(
+      [&] {
+        ingest::MmapPcapReader reader(large_path, ingest::ParseMode::kStrict);
+        rd_mapped = drain_reader(reader);
+      },
+      reps);
+  {
+    ingest::MmapPcapReader reader(
+        std::make_unique<ingest::BufferedByteSource>(large_path), large_path,
+        ingest::ParseMode::kStrict);
+    rd_buffered = drain_reader(reader);
+  }
+  const bool rd_ok = rd_mapped == rd_buffered && rd_mapped.packets == large_n;
+  harness.add(ab_row(std::string("pcap_reader_mmap/") + tag, large_mb, "MB",
+                     rd_ms, rd_ms, rd_ok));
 
-  // --- Row 3: flow table fold, flat open-addressing vs node-based, on
-  // pre-decoded packets so only the table differs.
+  // --- Row 3: flow table fold on pre-decoded packets, so only the table
+  // is timed. Every flow's single FIN never closes it, so the final
+  // flush must close exactly kFlows connections.
   std::vector<ingest::RawPacket> decoded;
   decoded.reserve(large_n);
   {
     ingest::MmapPcapReader reader(large_path, ingest::ParseMode::kStrict);
     reader.next_batch(decoded, large_n + 1);
   }
-  DrainSum ft_node, ft_flat;
-  const double ft_node_ms = bench::min_time_ms(
-      [&] { ft_node = fold_table<ingest::NodeFlowTable>(decoded); }, reps);
-  const double ft_flat_ms = bench::min_time_ms(
-      [&] { ft_flat = fold_table<ingest::FlowTable>(decoded); }, reps);
-  const bool ft_ok = ft_node == ft_flat && ft_flat.packets == large_n;
-  harness.add(ab_row(std::string("flow_table_flat_vs_node/") + tag,
-                     static_cast<double>(large_n), "pkts", ft_node_ms,
-                     ft_flat_ms, ft_ok));
+  FoldSum ft;
+  const double ft_ms =
+      bench::min_time_ms([&] { ft = fold_table(decoded); }, reps);
+  const bool ft_ok = ft.sum.packets == large_n && ft.conns == kFlows;
+  harness.add(ab_row(std::string("flow_table_flat/") + tag,
+                     static_cast<double>(large_n), "pkts", ft_ms, ft_ms,
+                     ft_ok));
   decoded.clear();
   decoded.shrink_to_fit();
 
@@ -461,69 +455,35 @@ int main(int argc, char** argv) {
   harness.add(ab_row(std::string("pcap_decode_columnar_vs_row/") + tag,
                      large_mb, "MB", dc_rows_ms, dc_cols_ms, dc_ok));
 
-  // --- Row 5: THE GATE — pcap -> count-process analysis end to end.
-  // Baseline is the PR-5 configuration exactly: ifstream reader + node
-  // flow table + per-record row pipeline. Fast is the full fast path:
-  // mmap + flat table + deferred-prescan single-pass columnar analysis
-  // (analyze_pcap_onepass — one decode pass when the capture is in
-  // order, as this one is). Both closures include source construction;
-  // for the baseline that includes its prescan — the real front-door
-  // cost either way.
+  // --- Row 5: pcap -> count-process analysis end to end, on the tool's
+  // --stream path: deferred-prescan one-pass analysis (one decode pass,
+  // as this capture is in order). Timed with the process-CPU clock —
+  // the leg is single-threaded, and wall time on a shared host charges
+  // hypervisor steal to it. The closure includes source construction,
+  // the real front-door cost. The eager two-pass analysis is the
+  // (untimed) identity check.
   stream::PipelineOptions popt;  // 0.1 s bins over the 100 us spacing
-  stream::PipelineResult e2e_base, e2e_fast;
-  // Gate methodology: both legs are single-threaded, so they are timed
-  // with the process-CPU clock — on a shared host, wall time charges
-  // hypervisor steal to whichever leg was running when it hit, which
-  // swings the ratio by more than the gate's whole margin. The legs
-  // also alternate rep by rep (base, fast, base, fast, ...) instead of
-  // timing one leg's reps back to back, so residual drift (frequency,
-  // cache pressure) lands on both legs alike.
-  double e2e_base_ms = 0.0, e2e_fast_ms = 0.0;
-  const int e2e_reps = smoke ? 1 : 5;
-  for (int rep = 0; rep < e2e_reps; ++rep) {
-    const double base_ms = bench::min_cpu_time_ms(
-        [&] {
-          ingest::NodePcapPacketSource src(large_path,
-                                           ingest::ParseMode::kStrict);
-          e2e_base = stream::analyze_stream_rows(src, popt);
-        },
-        1);
-    const double fast_ms = bench::min_cpu_time_ms(
-        [&] {
-          ingest::PcapColumnSource src(
-              large_path, ingest::ParseMode::kStrict, {},
-              stream::kDefaultChunkSize, ingest::Prescan::kDeferred);
-          e2e_fast = ingest::analyze_pcap_onepass(src, popt);
-        },
-        1);
-    if (rep == 0 || base_ms < e2e_base_ms) e2e_base_ms = base_ms;
-    if (rep == 0 || fast_ms < e2e_fast_ms) e2e_fast_ms = fast_ms;
-  }
-  const bool e2e_identical = same_result(e2e_base, e2e_fast) &&
-                             e2e_fast.packets == large_n;
-  const double e2e_speedup =
-      e2e_fast_ms > 0.0 ? e2e_base_ms / e2e_fast_ms : 1.0;
-  // Smoke captures are milliseconds long — the ratio there is timing
-  // noise, so CI enforces identity only; full runs enforce the 3x.
-  const bool gate_ok = e2e_identical && (smoke || e2e_speedup >= 3.0);
+  stream::PipelineResult e2e_eager, e2e_onepass;
+  const double e2e_ms = bench::min_cpu_time_ms(
+      [&] {
+        ingest::PcapColumnSource src(large_path, ingest::ParseMode::kStrict,
+                                     {}, stream::kDefaultChunkSize,
+                                     ingest::Prescan::kDeferred);
+        e2e_onepass = ingest::analyze_pcap_onepass(src, popt);
+      },
+      smoke ? 1 : 5);
   {
-    bench::BenchResult r =
-        ab_row(std::string("ingest_e2e_fastpath_vs_pr5/") + tag, large_mb,
-               "MB", e2e_base_ms, e2e_fast_ms, e2e_identical);
-    r.extra = {
-        {"gate_min_speedup", "3.0"},
-        {"gate_enforced", smoke ? "false" : "true"},
-        {"gate_ok", gate_ok ? "true" : "false"},
-        {"clock", "\"process_cpu\""},
-    };
+    ingest::PcapColumnSource src(large_path, ingest::ParseMode::kStrict);
+    e2e_eager = stream::analyze_columns(src, popt);
+  }
+  const bool e2e_ok = same_result(e2e_eager, e2e_onepass) &&
+                      e2e_onepass.packets == large_n;
+  {
+    bench::BenchResult r = ab_row(std::string("ingest_e2e_onepass/") + tag,
+                                  large_mb, "MB", e2e_ms, e2e_ms, e2e_ok);
+    r.extra = {{"clock", "\"process_cpu\""}};
     harness.add(r);
   }
-  std::printf(
-      "\ne2e gate: PR-5 baseline %.1f ms, fast path %.1f ms -> %.2fx "
-      "(need >= 3x%s), identical %s -> %s\n\n",
-      e2e_base_ms, e2e_fast_ms, e2e_speedup,
-      smoke ? ", not enforced in smoke" : "",
-      e2e_identical ? "yes" : "NO", gate_ok ? "PASS" : "FAIL");
 
   // --- Row 6: ITA ASCII parse throughput (std::from_chars tokenizer).
   const std::uint64_t ascii_bytes =
@@ -558,6 +518,7 @@ int main(int argc, char** argv) {
   std::remove(large_path.c_str());
   std::remove(ascii_path.c_str());
 
-  const bool all_identical = clean && rd_ok && ft_ok && dc_ok && ascii_ok;
-  return all_identical && rss_bounded && gate_ok ? 0 : 1;
+  const bool all_identical =
+      clean && rd_ok && ft_ok && dc_ok && e2e_ok && ascii_ok;
+  return all_identical && rss_bounded ? 0 : 1;
 }

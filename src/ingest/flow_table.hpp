@@ -26,14 +26,12 @@
 // Storage: open addressing with linear probing over a flat bucket
 // array, flows in a stable slot vector, and an intrusive array-indexed
 // LRU — one cache line of probing replaces the node allocation, pointer
-// chase and list splice per packet that the original
-// unordered_map+std::list table paid (that table survives as
-// NodeFlowTable, the pinned A/B reference). Deletion is backward-shift,
-// so probe chains stay gap-free without tombstones; slot indices are
-// stable across growth because only the bucket array rebuilds. Every
-// observable decision — conn ids, host ids, eviction and reincarnation
-// order, ConnRecords — is byte-identical to NodeFlowTable, enforced by
-// the `ingest`-labeled tests.
+// chase and list splice per packet of an unordered_map+std::list table.
+// Deletion is backward-shift, so probe chains stay gap-free without
+// tombstones; slot indices are stable across growth because only the
+// bucket array rebuilds. Every observable decision — conn ids, host
+// ids, eviction and reincarnation order, ConnRecords — is pinned
+// against a std::map reference table by the `ingest`-labeled tests.
 //
 // Memory is O(open flows + hosts), never O(packets) — the table is what
 // lets week-scale captures stream through in bounded memory.

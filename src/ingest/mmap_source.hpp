@@ -16,13 +16,21 @@
 //     open_byte_source() picks: regular mappable file -> mmap,
 //     anything else -> buffered.
 //
-//   * MmapPcapReader — PcapReader's contract (same records, same
-//     ledger, same strict/lenient semantics; pinned byte-identical by
-//     the `ingest`-labeled tests) on top of a ByteSource, plus
-//     next_batch() which decodes a whole chunk of records per call so
-//     the hot loop has no per-record virtual dispatch. Both readers
-//     call the shared src/ingest/pcap_decode.hpp routines, so they
-//     cannot drift apart in what they accept.
+//   * MmapPcapReader — the pcap reader on top of a ByteSource: the
+//     classic 24-byte global header in either byte order, usec and
+//     nsec timestamps, per-record bounds checks so a truncated or
+//     corrupt capture degrades into ledger entries instead of
+//     undefined behaviour, and strict/lenient semantics. next_batch()
+//     and fold_packets() decode a whole chunk of records per call so
+//     the hot loop has no per-record virtual dispatch. Both byte
+//     sources feed the shared src/ingest/pcap_decode.hpp routines, so
+//     they cannot drift apart in what they accept (the `ingest` tests
+//     pin them to the same records and ledger).
+//
+// End-of-input taxonomy: input ending on a record boundary is clean
+// EOF (nothing counted); input ending mid-record is truncated_records
+// (a capture cut by a full disk or a killed monitor); a read failing
+// before EOF is io_errors (the input itself is dying).
 //
 // Mapping lifetime: the mapping lives exactly as long as the reader
 // (sources keep their reader for their own lifetime), and RawPackets
@@ -171,12 +179,14 @@ std::unique_ptr<ByteSource> open_byte_source(const std::string& path);
 std::unique_ptr<ByteSource> spooled_byte_source(int fd,
                                                 const std::string& name);
 
-/// PcapReader's contract over a ByteSource — the zero-copy fast path.
+/// The pcap reader over a ByteSource — the zero-copy fast path.
 class MmapPcapReader {
  public:
   /// Opens `path` via open_byte_source (mmap with buffered fallback)
-  /// and parses the global header; same strict/lenient semantics as
-  /// PcapReader's constructor.
+  /// and parses the global header. Strict mode throws IngestError on a
+  /// malformed header; lenient mode records it and yields an exhausted
+  /// reader (next() == false, no crash). Throws std::runtime_error in
+  /// both modes if the input cannot be opened at all.
   MmapPcapReader(const std::string& path, ParseMode mode);
 
   /// Adopts an explicit byte source (tests use this to force the
@@ -184,7 +194,8 @@ class MmapPcapReader {
   MmapPcapReader(std::unique_ptr<ByteSource> source, std::string name,
                  ParseMode mode);
 
-  /// Decodes the next IPv4 TCP/UDP packet; PcapReader::next verbatim.
+  /// Decodes the next IPv4 TCP/UDP packet. Returns false when the input
+  /// (or, in lenient mode, the parsable prefix of it) is exhausted.
   bool next(RawPacket& out);
 
   /// Appends decoded packets to `out` until it holds `max` packets or
@@ -286,8 +297,8 @@ std::size_t MmapPcapReader::walk_mapped(std::size_t max_out, Emit&& emit) {
   bool any_record = any_record_;
   // Flush register state back to the source and ledger on every way out
   // of the loop: normal exit, delegation, or a report() throw in strict
-  // mode (the ifstream reader's ledger is already synced when it
-  // throws, so ours must be too).
+  // mode (read_record's ledger is already synced when it throws, so
+  // ours must be too).
   struct Sync {
     MmapPcapReader* r;
     std::size_t* pos;

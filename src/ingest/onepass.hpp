@@ -25,7 +25,8 @@
 //
 // Either way the returned PipelineResult is bit-identical to
 // analyze_columns over an eagerly-prescanned source (the `ingest`
-// tests pin both branches). This lives in src/ingest, not src/stream:
+// tests pin both branches). wantraffic_analyze's serial pcap --stream
+// run is this function. This lives in src/ingest, not src/stream:
 // the speculation needs the concrete PcapColumnSource (its deferred
 // mode and ordering watermark), and ingest already layers above stream.
 #pragma once

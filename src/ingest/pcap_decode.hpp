@@ -1,10 +1,10 @@
 // Shared pcap parsing primitives: the global-header fields, the
 // endian helpers, and the frame/IP/transport decode that turns one
-// captured record into a RawPacket. Both pcap readers — the buffered
-// std::ifstream PcapReader and the zero-copy MmapPcapReader — call
-// these same functions on the same bytes, which is what makes their
-// record streams and error ledgers identical by construction rather
-// than by parallel maintenance.
+// captured record into a RawPacket. The offline MmapPcapReader (over
+// either byte source) and the monitor's TailPcapSource call these same
+// functions on the same bytes, which is what makes their record
+// streams and error ledgers identical by construction rather than by
+// parallel maintenance.
 #pragma once
 
 #include <cstddef>

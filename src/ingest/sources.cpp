@@ -8,14 +8,9 @@ namespace {
 
 // One timestamp tick past the last packet puts it inside the half-open
 // analysis window [t_begin, t_end).
-double source_tick(const PcapReader& r) { return r.tick(); }
 double source_tick(const MmapPcapReader& r) { return r.tick(); }
 double source_tick(const LblPktReader&) { return 1e-6; }  // μs timestamps
 
-// Both pcap readers produce the same stream from the same file, so they
-// share the tag — a source's info().name must not depend on which
-// reader served it.
-const char* format_tag(const PcapReader&) { return "pcap:"; }
 const char* format_tag(const MmapPcapReader&) { return "pcap:"; }
 const char* format_tag(const LblPktReader&) { return "lbl-pkt:"; }
 
@@ -70,19 +65,19 @@ FlowTableConfig packet_flow_config(FlowTableConfig flow) {
 
 // ------------------------------------------------------ PacketSourceImpl
 
-template <typename Reader, typename Table>
-PacketSourceImpl<Reader, Table>::PacketSourceImpl(const std::string& path,
-                                                  ParseMode mode,
-                                                  FlowTableConfig flow,
-                                                  std::size_t chunk_size)
+template <typename Reader>
+PacketSourceImpl<Reader>::PacketSourceImpl(const std::string& path,
+                                           ParseMode mode,
+                                           FlowTableConfig flow,
+                                           std::size_t chunk_size)
     : reader_(path, mode),
       table_(packet_flow_config(flow)),
       chunk_size_(chunk_size) {
   info_ = prescan_packets(reader_, path);
 }
 
-template <typename Reader, typename Table>
-bool PacketSourceImpl<Reader, Table>::next(
+template <typename Reader>
+bool PacketSourceImpl<Reader>::next(
     std::vector<trace::PacketRecord>& chunk) {
   chunk.clear();
   RawPacket pkt;
@@ -92,16 +87,14 @@ bool PacketSourceImpl<Reader, Table>::next(
   return !chunk.empty();
 }
 
-template <typename Reader, typename Table>
-void PacketSourceImpl<Reader, Table>::reset() {
+template <typename Reader>
+void PacketSourceImpl<Reader>::reset() {
   reader_.reset();
   table_.clear();  // identical conn ids on the second pass
 }
 
 template class PacketSourceImpl<MmapPcapReader>;
-template class PacketSourceImpl<PcapReader>;
 template class PacketSourceImpl<LblPktReader>;
-template class PacketSourceImpl<PcapReader, NodeFlowTable>;
 
 // ----------------------------------------------- ShardedPacketSourceImpl
 
@@ -132,7 +125,6 @@ void ShardedPacketSourceImpl<Reader>::reset() {
 }
 
 template class ShardedPacketSourceImpl<MmapPcapReader>;
-template class ShardedPacketSourceImpl<PcapReader>;
 template class ShardedPacketSourceImpl<LblPktReader>;
 
 // ------------------------------------------------------ PcapColumnSource
@@ -239,7 +231,6 @@ void FlowConnSource<Reader>::reset() {
 }
 
 template class FlowConnSource<MmapPcapReader>;
-template class FlowConnSource<PcapReader>;
 template class FlowConnSource<LblPktReader>;
 
 // --------------------------------------------------------- LblConnSource

@@ -7,21 +7,24 @@
 // the trace's time range (analyze_stream reads info() before any
 // records flow), then rewinds. The prescan's ledger is discarded on the
 // rewind — stats() reflects the emission pass only, so callers see each
-// defect counted exactly once.
+// defect counted exactly once. PcapColumnSource alone can defer the
+// prescan (Prescan::kDeferred) for analyze_pcap_onepass.
 //
-//   * PacketSourceImpl<MmapPcapReader / PcapReader / LblPktReader> —
-//     packets through a flow table (connection ids + protocol
-//     classification attached), emitted as PacketRecord chunks. The
-//     second template parameter picks the table (flat FlowTable by
-//     default; NodeFlowTable instantiations exist as the A/B baseline).
+//   * PacketSourceImpl<MmapPcapReader / LblPktReader> — packets
+//     through the flow table (connection ids + protocol classification
+//     attached), emitted as PacketRecord chunks.
 //   * PcapColumnSource — the zero-copy fast path: mmap'd batch decode
 //     folded straight into PacketColumns, no PacketRecord row chunk in
 //     between. ColumnsFromIngest adapts any row source to the same
-//     contract for the formats without a native columnar path.
+//     contract for the configurations without a native columnar path.
 //   * FlowConnSource<...> — the same packets folded *into* connections:
 //     emits the ConnRecords the flow table closes, in closure order,
 //     flushing still-open flows at EOF.
 //   * LblConnSource — SYN/FIN connection logs read directly.
+//
+// Every pcap source reads through MmapPcapReader, whose byte source is
+// picked from the input: a mapping for a regular file, the pread
+// BufferedByteSource otherwise (stdin is first spooled to a temp file).
 #pragma once
 
 #include <cstdint>
@@ -32,10 +35,8 @@
 #include "src/ingest/flow_table.hpp"
 #include "src/ingest/ingest_stats.hpp"
 #include "src/ingest/mmap_source.hpp"
-#include "src/ingest/node_flow_table.hpp"
 #include "src/ingest/shard_ingest.hpp"
 #include "src/ingest/ita_ascii.hpp"
-#include "src/ingest/pcap_reader.hpp"
 #include "src/stream/chunk.hpp"
 #include "src/stream/columnar.hpp"
 #include "src/stream/conn_chunk.hpp"
@@ -62,10 +63,8 @@ class IngestColumnSource : public stream::PacketColumnSource {
 
 /// Packets from a capture file, each folded through a flow table so the
 /// emitted PacketRecords carry conn ids and port-classified protocols.
-/// Reader is MmapPcapReader, PcapReader or LblPktReader; Table is the
-/// flat FlowTable (default) or NodeFlowTable (the retained baseline the
-/// benches and parity tests compare against).
-template <typename Reader, typename Table = FlowTable>
+/// Reader is MmapPcapReader or LblPktReader.
+template <typename Reader>
 class PacketSourceImpl final : public IngestPacketSource {
  public:
   /// Opens and prescans `path`. Strict mode throws IngestError on the
@@ -80,21 +79,17 @@ class PacketSourceImpl final : public IngestPacketSource {
   void reset() override;
 
   const IngestStats& stats() const override { return reader_.stats(); }
-  const Table& flow_table() const { return table_; }
+  const FlowTable& flow_table() const { return table_; }
 
  private:
   Reader reader_;
-  Table table_;
+  FlowTable table_;
   stream::StreamInfo info_;
   std::size_t chunk_size_;
 };
 
 using MmapPcapPacketSource = PacketSourceImpl<MmapPcapReader>;
-using PcapPacketSource = PacketSourceImpl<PcapReader>;
 using LblPktPacketSource = PacketSourceImpl<LblPktReader>;
-/// The pre-fast-path configuration (ifstream reader + node table),
-/// instantiated so benches can measure the fast path against it.
-using NodePcapPacketSource = PacketSourceImpl<PcapReader, NodeFlowTable>;
 
 /// Sharded twin of PacketSourceImpl: one reader (a capture is a single
 /// byte stream), flow reconstruction fanned across per-shard tables on
@@ -127,7 +122,6 @@ class ShardedPacketSourceImpl final : public IngestPacketSource {
 };
 
 using ShardedMmapPcapPacketSource = ShardedPacketSourceImpl<MmapPcapReader>;
-using ShardedPcapPacketSource = ShardedPacketSourceImpl<PcapReader>;
 using ShardedLblPktPacketSource = ShardedPacketSourceImpl<LblPktReader>;
 
 /// Whether a source's constructor runs the prescan pass (the default)
@@ -194,7 +188,7 @@ class PcapColumnSource final : public IngestColumnSource {
 };
 
 /// Owning rows->columns bridge: any IngestPacketSource behind the
-/// columnar ledger contract, for the formats (lbl-pkt, sharded or row
+/// columnar ledger contract, for the configurations (lbl-pkt, sharded
 /// pcap) that have no native columnar decode.
 class ColumnsFromIngest final : public IngestColumnSource {
  public:
@@ -241,7 +235,6 @@ class FlowConnSource final : public IngestConnSource {
 };
 
 using MmapPcapConnSource = FlowConnSource<MmapPcapReader>;
-using PcapConnSource = FlowConnSource<PcapReader>;
 using LblPktConnSource = FlowConnSource<LblPktReader>;
 
 /// lbl-conn-7 connection logs, streamed directly (no reconstruction —

@@ -150,8 +150,8 @@ class ColumnsFromRows final : public PacketColumnSource {
 };
 
 /// SoA -> AoS adapter: a columnar source viewed through the row
-/// contract, so row-oriented consumers (collect, the retained row
-/// analysis path, parity tests) can drain columnar pipelines.
+/// contract, so row-oriented consumers (collect, the batch analysis,
+/// parity tests) can drain columnar pipelines.
 class RowsFromColumns final : public PacketChunkSource {
  public:
   explicit RowsFromColumns(PacketColumnSource& inner) : inner_(&inner) {}

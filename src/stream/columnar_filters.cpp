@@ -8,9 +8,12 @@ namespace {
 
 std::string filter_suffix(const std::optional<trace::Protocol>& protocol,
                           bool orig_data) {
-  // The suffixes the row filters would stack, in their stacking order.
+  // The suffixes the batch filters would stack, in their stacking order.
   std::string s;
-  if (protocol) s += "/" + std::string(trace::to_string(*protocol));
+  if (protocol) {
+    s += '/';
+    s += trace::to_string(*protocol);
+  }
   if (orig_data) s += "/orig-data";
   return s;
 }
@@ -76,7 +79,7 @@ void ColumnBulkOutlierSource::scan_outliers() {
   trace::BulkOutlierDetector det(max_bytes_, max_rate_);
   while (inner_->next(buf_)) {
     // The detector aggregates per connection from (time, conn, orig,
-    // payload); rows are observed in order, as the row path does.
+    // payload); rows are observed in order, as the batch method does.
     for (std::size_t i = 0; i < buf_.size(); ++i) det.observe(buf_.row(i));
   }
   outliers_ = det.outliers();

@@ -1,10 +1,12 @@
-// Columnar forms of the Section-IV preprocessing filters: the same
-// predicates and derived-trace name suffixes as filters.hpp, applied as
-// selection-vector passes over column chunks instead of a per-record
-// predicate call. A filtered chunk is built in two vectorizable loops
-// (select indices, then gather columns); the record sequence each
-// source emits is identical to its row twin's, which is what keeps the
-// columnar analysis path byte-compatible with the row path.
+// Streaming forms of the Section-IV preprocessing filters: the same
+// predicates and derived-trace name suffixes as the batch PacketTrace
+// methods, applied as selection-vector passes over column chunks. A
+// filtered chunk is built in two vectorizable loops (select indices,
+// then gather columns). Each source wraps an upstream
+// PacketColumnSource (non-owning — the caller keeps the stages alive,
+// typically on the stack), and collect(filtered stream) equals the
+// batch-filtered trace record for record (the `stream` tests pin this
+// against the PacketTrace oracle).
 #pragma once
 
 #include <optional>
@@ -17,12 +19,12 @@ namespace wan::stream {
 
 /// Stateless columnar row filter: by protocol (if set), then
 /// originator-data (if requested) — the same predicates, order and
-/// derived-name suffixes as stacking the row filters, but the
+/// derived-name suffixes as stacking the batch filters, but the
 /// predicates compose on one selection vector and a single gather
 /// materializes the surviving rows (no intermediate chunk per
 /// predicate). next() keeps pulling upstream chunks until at least one
-/// row survives, so false still means exhausted — the FilterSource
-/// contract.
+/// row survives, so false still means exhausted even when the filter
+/// is very selective.
 class ColumnFilterSource final : public PacketColumnSource {
  public:
   ColumnFilterSource(PacketColumnSource& inner,
@@ -49,13 +51,14 @@ ColumnFilterSource protocol_filter_columns(PacketColumnSource& inner,
 /// "/orig-data".
 ColumnFilterSource originator_data_filter_columns(PacketColumnSource& inner);
 
-/// Columnar PacketTrace::remove_bulk_outliers(): the same explicit
-/// two-pass shape as BulkOutlierSource — the first next() drains the
-/// upstream through trace::BulkOutlierDetector (observing rows in
-/// order, so the outlier set is identical to the row path's), resets
-/// it, then streams the second pass dropping the flagged connections
-/// via a selection pass over the conn-id column. Name gains
-/// "/no-outliers".
+/// Columnar PacketTrace::remove_bulk_outliers(). The outlier rule needs
+/// a connection's total bytes before deciding, so this is an explicit
+/// two-pass source: the first next() drains the upstream through
+/// trace::BulkOutlierDetector (observing rows in order, so the outlier
+/// set is identical to the batch method's; O(#connections) state),
+/// resets it, then streams the second pass dropping the flagged
+/// connections via a selection pass over the conn-id column. Name
+/// gains "/no-outliers".
 class ColumnBulkOutlierSource final : public PacketColumnSource {
  public:
   ColumnBulkOutlierSource(PacketColumnSource& inner,

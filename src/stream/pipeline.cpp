@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "src/stream/columnar_filters.hpp"
-#include "src/stream/filters.hpp"
 
 namespace wan::stream {
 
@@ -72,59 +71,7 @@ PipelineResult analyze_columns(PacketColumnSource& source,
   stats::MomentAccumulator moments;
   // Counts are already one contiguous column; interleaving the three
   // accumulators per element lets their independent update chains
-  // overlap (fastest measured orientation, and the row path's exact
-  // order).
-  for (double c : result.counts) {
-    vt.push(c);
-    bl.push(c);
-    moments.push(c);
-  }
-  result.vt = vt.finish();
-  result.burst_lull = bl.finish();
-  result.count_moments = moments;
-  return result;
-}
-
-PipelineResult analyze_stream_rows(PacketChunkSource& source,
-                                   const PipelineOptions& options) {
-  PacketChunkSource* src = &source;
-  std::optional<FilterSource> by_protocol;
-  if (options.protocol) {
-    by_protocol.emplace(protocol_filter(*src, *options.protocol));
-    src = &*by_protocol;
-  }
-  std::optional<FilterSource> orig_data;
-  if (options.orig_data_only) {
-    orig_data.emplace(originator_data_filter(*src));
-    src = &*orig_data;
-  }
-  std::optional<BulkOutlierSource> no_outliers;
-  if (options.remove_outliers) {
-    no_outliers.emplace(*src, options.outlier_max_bytes,
-                        options.outlier_max_rate);
-    src = &*no_outliers;
-  }
-
-  const StreamInfo info = src->info();
-  if (expected_bins(info, options.bin) < 16)
-    throw std::invalid_argument("analyze_stream: series too short");
-
-  stats::BinCountsAccumulator bins(info.t_begin, info.t_end, options.bin);
-  std::uint64_t packets = 0;
-  stats::VtAccumulator vt(
-      stats::default_aggregation_levels(bins.bins()));
-  stats::BurstLullAccumulator bl;
-  stats::MomentAccumulator moments;
-  for_each_packet(*src, [&](const trace::PacketRecord& r) {
-    ++packets;
-    bins.add(r.time);
-  });
-
-  PipelineResult result;
-  result.info = info;
-  result.bin = options.bin;
-  result.packets = packets;
-  result.counts = bins.take();
+  // overlap (fastest measured orientation).
   for (double c : result.counts) {
     vt.push(c);
     bl.push(c);

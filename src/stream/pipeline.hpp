@@ -46,29 +46,18 @@ struct PipelineResult {
   stats::MomentAccumulator count_moments;
 };
 
-/// Streams the source through the configured filters and accumulators.
-/// Throws std::invalid_argument if the count series would be shorter
-/// than 16 bins (same limit as variance_time_plot).
-///
-/// Since the columnar refactor this is a thin wrapper: the row source is
-/// adapted through ColumnsFromRows and analyzed by analyze_columns. The
-/// result is byte-identical to the retained row implementation
-/// (analyze_stream_rows) — the `columnar`-labeled tests pin this.
+/// Row-source convenience: the source is adapted through
+/// ColumnsFromRows and analyzed by analyze_columns.
 PipelineResult analyze_stream(PacketChunkSource& source,
                               const PipelineOptions& options = {});
 
-/// The columnar analysis path: filters are selection-vector passes
-/// (columnar_filters.hpp) and the accumulators consume whole columns
-/// (BinCountsAccumulator::add(span) etc.). Same filter order, same
-/// arithmetic per element, so same bytes out as the row path — several
-/// times faster on in-memory data.
+/// Streams the source through the configured filters and accumulators.
+/// Filters are selection-vector passes (columnar_filters.hpp) and the
+/// accumulators consume whole columns (BinCountsAccumulator::add(span)
+/// etc.). Throws std::invalid_argument if the count series would be
+/// shorter than 16 bins (same limit as variance_time_plot).
 PipelineResult analyze_columns(PacketColumnSource& source,
                                const PipelineOptions& options = {});
-
-/// The pre-refactor row implementation, retained as the per-record
-/// reference the benches measure the columnar path against.
-PipelineResult analyze_stream_rows(PacketChunkSource& source,
-                                   const PipelineOptions& options = {});
 
 /// The batch reference: same analysis via PacketTrace filters and the
 /// span-based statistics.

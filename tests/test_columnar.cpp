@@ -1,8 +1,8 @@
 // Columnar layout parity (ctest label `columnar`): the SoA chunk path
-// must reproduce the row path exactly — record for record through the
-// adapters and filters, bit for bit through the span accumulators, and
-// byte for byte in the figure CSVs the pipeline emits — for synthesized
-// traces and for an ingested capture fixture.
+// must reproduce the row records and the batch analysis exactly —
+// record for record through the adapters, bit for bit through the span
+// accumulators, and byte for byte in the figure CSVs the pipeline
+// emits — for synthesized traces and for an ingested capture fixture.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -16,7 +16,6 @@
 #include "src/stream/chunk.hpp"
 #include "src/stream/columnar.hpp"
 #include "src/stream/columnar_filters.hpp"
-#include "src/stream/filters.hpp"
 #include "src/stream/pipeline.hpp"
 #include "src/synth/stream_synth.hpp"
 #include "src/synth/synthesizer.hpp"
@@ -261,72 +260,8 @@ TEST(ColumnarKernels, FusedSelectEqualsSelectThenRefine) {
   ASSERT_LT(fused.size(), cols.size());  // the predicate actually filters
 }
 
-// --- Columnar filter sources vs row filter sources ----------------------
-
-TEST(ColumnarFilters, ProtocolFilterMatchesRowFilterSource) {
-  const trace::PacketTrace t = make_test_trace();
-  stream::TraceChunkSource rows(t, /*chunk_size=*/11);
-  stream::FilterSource row_f =
-      stream::protocol_filter(rows, trace::Protocol::kTelnet);
-  const trace::PacketTrace want = stream::collect(row_f);
-
-  stream::TraceChunkSource rows2(t, /*chunk_size=*/11);
-  stream::ColumnsFromRows cols(rows2);
-  stream::ColumnFilterSource col_f =
-      stream::protocol_filter_columns(cols, trace::Protocol::kTelnet);
-  EXPECT_EQ(col_f.info().name, want.name());
-  expect_same_records(drain(col_f), want.records());
-}
-
-TEST(ColumnarFilters, OriginatorDataFilterMatchesRowFilterSource) {
-  const trace::PacketTrace t = make_test_trace();
-  stream::TraceChunkSource rows(t, /*chunk_size=*/11);
-  stream::FilterSource row_f = stream::originator_data_filter(rows);
-  const trace::PacketTrace want = stream::collect(row_f);
-
-  stream::TraceChunkSource rows2(t, /*chunk_size=*/11);
-  stream::ColumnsFromRows cols(rows2);
-  stream::ColumnFilterSource col_f =
-      stream::originator_data_filter_columns(cols);
-  EXPECT_EQ(col_f.info().name, want.name());
-  expect_same_records(drain(col_f), want.records());
-}
-
-TEST(ColumnarFilters, FusedFilterMatchesStackedRowFilters) {
-  const trace::PacketTrace t = make_test_trace();
-  stream::TraceChunkSource rows(t, /*chunk_size=*/11);
-  stream::FilterSource proto =
-      stream::protocol_filter(rows, trace::Protocol::kTelnet);
-  stream::FilterSource orig = stream::originator_data_filter(proto);
-  const trace::PacketTrace want = stream::collect(orig);
-
-  stream::TraceChunkSource rows2(t, /*chunk_size=*/11);
-  stream::ColumnsFromRows cols(rows2);
-  stream::ColumnFilterSource fused(cols, trace::Protocol::kTelnet,
-                                   /*orig_data=*/true);
-  // The fused source derives the same stacked name and record sequence
-  // the two row filters produce.
-  EXPECT_EQ(fused.info().name, want.name());
-  expect_same_records(drain(fused), want.records());
-}
-
-TEST(ColumnarFilters, BulkOutlierSourceMatchesRowTwinAndReplays) {
-  const trace::PacketTrace t = make_test_trace();
-  stream::TraceChunkSource rows(t, /*chunk_size=*/11);
-  stream::BulkOutlierSource row_f(rows);
-  const trace::PacketTrace want = stream::collect(row_f);
-  ASSERT_LT(want.size(), t.size());  // conn 99 must actually be dropped
-
-  stream::TraceChunkSource rows2(t, /*chunk_size=*/11);
-  stream::ColumnsFromRows cols(rows2);
-  stream::ColumnBulkOutlierSource col_f(cols);
-  EXPECT_EQ(col_f.info().name, want.name());
-  expect_same_records(drain(col_f), want.records());
-
-  // The second pass reuses the scanned outlier set.
-  col_f.reset();
-  expect_same_records(drain(col_f), want.records());
-}
+// The columnar filter sources are pinned against the batch PacketTrace
+// filters in test_stream.cpp (StreamFilters).
 
 // --- Span accumulator forms vs per-element forms ------------------------
 
@@ -414,7 +349,7 @@ TEST(SpanAccumulators, InterarrivalAccumulatorBridgesChunkBoundaries) {
 
 // --- End-to-end pipeline parity -----------------------------------------
 
-TEST(ColumnarPipeline, FilteredAnalysisByteIdenticalAcrossAllThreePaths) {
+TEST(ColumnarPipeline, FilteredAnalysisByteIdenticalToBatch) {
   const synth::PacketDatasetConfig cfg = small_pkt_config(/*tcp_only=*/true);
   const trace::PacketTrace batch_trace = synth::synthesize_packet_trace(cfg);
 
@@ -427,17 +362,14 @@ TEST(ColumnarPipeline, FilteredAnalysisByteIdenticalAcrossAllThreePaths) {
 
   synth::StreamingPacketSynthesizer src(cfg, opt.chunk_size);
   const stream::PipelineResult columnar = stream::analyze_stream(src, opt);
-  src.reset();
-  const stream::PipelineResult rowed = stream::analyze_stream_rows(src, opt);
   const stream::PipelineResult batch = stream::analyze_batch(batch_trace, opt);
 
-  EXPECT_EQ(stream::vt_csv(columnar), stream::vt_csv(rowed));
   EXPECT_EQ(stream::vt_csv(columnar), stream::vt_csv(batch));
-  EXPECT_EQ(columnar.packets, rowed.packets);
-  EXPECT_EQ(columnar.counts, rowed.counts);
+  EXPECT_EQ(columnar.packets, batch.packets);
+  EXPECT_EQ(columnar.counts, batch.counts);
 }
 
-TEST(ColumnarPipeline, UnfilteredAnalysisByteIdenticalAcrossAllThreePaths) {
+TEST(ColumnarPipeline, UnfilteredAnalysisByteIdenticalToBatch) {
   const synth::PacketDatasetConfig cfg = small_pkt_config(/*tcp_only=*/false);
   const trace::PacketTrace batch_trace = synth::synthesize_packet_trace(cfg);
 
@@ -446,35 +378,35 @@ TEST(ColumnarPipeline, UnfilteredAnalysisByteIdenticalAcrossAllThreePaths) {
 
   synth::StreamingPacketSynthesizer src(cfg);
   const stream::PipelineResult columnar = stream::analyze_stream(src, opt);
-  src.reset();
-  const stream::PipelineResult rowed = stream::analyze_stream_rows(src, opt);
   const stream::PipelineResult batch = stream::analyze_batch(batch_trace, opt);
 
-  EXPECT_EQ(stream::vt_csv(columnar), stream::vt_csv(rowed));
   EXPECT_EQ(stream::vt_csv(columnar), stream::vt_csv(batch));
-  EXPECT_EQ(columnar.burst_lull.burst_lengths, rowed.burst_lull.burst_lengths);
-  EXPECT_EQ(columnar.burst_lull.lull_lengths, rowed.burst_lull.lull_lengths);
-  EXPECT_EQ(columnar.count_moments.mean(), rowed.count_moments.mean());
+  EXPECT_EQ(columnar.burst_lull.burst_lengths, batch.burst_lull.burst_lengths);
+  EXPECT_EQ(columnar.burst_lull.lull_lengths, batch.burst_lull.lull_lengths);
+  EXPECT_EQ(columnar.count_moments.mean(), batch.count_moments.mean());
   EXPECT_EQ(columnar.count_moments.variance_sample(),
-            rowed.count_moments.variance_sample());
+            batch.count_moments.variance_sample());
 }
 
-TEST(ColumnarPipeline, IngestedPcapFixtureByteIdenticalToRowPath) {
+TEST(ColumnarPipeline, IngestedPcapFixtureByteIdenticalToBatch) {
   // The capture fixture exercises the real ingestion front end (pcap
-  // decode + flow reconstruction) feeding both layouts.
-  ingest::PcapPacketSource src(fixture("tiny_le.pcap"),
+  // decode + flow reconstruction, straight into columns) against the
+  // batch analysis of the same records.
+  ingest::PcapColumnSource src(fixture("tiny_le.pcap"),
                                ingest::ParseMode::kStrict);
   stream::PipelineOptions opt;
   opt.bin = 0.1;  // the ~5 s fixture span comfortably exceeds 16 bins
 
-  const stream::PipelineResult columnar = stream::analyze_stream(src, opt);
+  const stream::PipelineResult columnar = stream::analyze_columns(src, opt);
   src.reset();
-  const stream::PipelineResult rowed = stream::analyze_stream_rows(src, opt);
+  stream::RowsFromColumns rows(src);
+  const stream::PipelineResult batch =
+      stream::analyze_batch(stream::collect(rows), opt);
 
   ASSERT_GT(columnar.packets, 0u);
-  EXPECT_EQ(columnar.packets, rowed.packets);
-  EXPECT_EQ(columnar.counts, rowed.counts);
-  EXPECT_EQ(stream::vt_csv(columnar), stream::vt_csv(rowed));
+  EXPECT_EQ(columnar.packets, batch.packets);
+  EXPECT_EQ(columnar.counts, batch.counts);
+  EXPECT_EQ(stream::vt_csv(columnar), stream::vt_csv(batch));
 }
 
 }  // namespace

@@ -1,24 +1,29 @@
-// Zero-copy ingest fast-path pins (DESIGN.md §14): the mmap'd reader,
-// the buffered fallback, the flat open-addressing flow table and the
-// direct columnar decode are each pinned byte-identical to the retained
-// reference implementations (ifstream PcapReader, NodeFlowTable, the
-// row decode) on the committed fixtures and on synthetic
-// eviction/reincarnation scenarios. The fast path is only allowed to be
-// faster — never different.
+// Zero-copy ingest fast-path pins (DESIGN.md §14): the mmap'd reader
+// against its buffered fallback, the flat open-addressing flow table
+// against a small std::map reference table defined here, the direct
+// columnar decode against the row source, and the one-pass analysis
+// against the eager two-pass path and the batch oracle — on the
+// committed fixtures and on synthetic eviction/reincarnation
+// scenarios. The fast path is only allowed to be faster — never
+// different.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <map>
+#include <memory>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <vector>
 
+#include "src/ingest/classify.hpp"
 #include "src/ingest/flow_table.hpp"
 #include "src/ingest/ingest.hpp"
 #include "src/ingest/mmap_source.hpp"
-#include "src/ingest/node_flow_table.hpp"
 #include "src/ingest/onepass.hpp"
 #include "src/stream/pipeline.hpp"
 
@@ -81,42 +86,7 @@ const char* const kPcapFixtures[] = {"tiny_le.pcap", "tiny_be.pcap",
                                      "tiny_vlan.pcap", "trunc.pcap",
                                      "badmagic.pcap"};
 
-// ------------------------------------------- mmap == ifstream readers
-
-TEST(MmapPcapReader, MatchesIfstreamReaderOnEveryFixtureLenient) {
-  for (const char* name : kPcapFixtures) {
-    SCOPED_TRACE(name);
-    ingest::PcapReader ref(fixture(name), ParseMode::kLenient);
-    ingest::MmapPcapReader fast(fixture(name), ParseMode::kLenient);
-    EXPECT_EQ(ref.header_ok(), fast.header_ok());
-    EXPECT_EQ(ref.tick(), fast.tick());
-    if (ref.header_ok()) {
-      EXPECT_EQ(ref.linktype(), fast.linktype());
-    }
-    EXPECT_TRUE(same_raw(drain(ref), drain(fast)));
-    expect_same_stats(ref.stats(), fast.stats());
-  }
-}
-
-TEST(MmapPcapReader, MatchesIfstreamReaderStrictVerdicts) {
-  // Clean fixtures parse identically; corrupt ones throw from the same
-  // place (construction for the header, next() for mid-file damage).
-  for (const char* name : {"tiny_le.pcap", "tiny_be.pcap",
-                           "tiny_nsec.pcap"}) {
-    SCOPED_TRACE(name);
-    ingest::PcapReader ref(fixture(name), ParseMode::kStrict);
-    ingest::MmapPcapReader fast(fixture(name), ParseMode::kStrict);
-    EXPECT_TRUE(same_raw(drain(ref), drain(fast)));
-    expect_same_stats(ref.stats(), fast.stats());
-  }
-  EXPECT_THROW(
-      ingest::MmapPcapReader(fixture("badmagic.pcap"), ParseMode::kStrict),
-      IngestError);
-  ingest::MmapPcapReader trunc(fixture("trunc.pcap"), ParseMode::kStrict);
-  EXPECT_THROW(drain(trunc), IngestError);
-  ingest::MmapPcapReader ooo(fixture("tiny_ooo.pcap"), ParseMode::kStrict);
-  EXPECT_THROW(drain(ooo), IngestError);
-}
+// ------------------------------------------- mapped == buffered bytes
 
 TEST(MmapPcapReader, BufferedFallbackMatchesTheMapping) {
   // Force the sliding-buffer fallback onto a mappable file: same
@@ -127,6 +97,11 @@ TEST(MmapPcapReader, BufferedFallbackMatchesTheMapping) {
     ingest::MmapPcapReader buffered(
         std::make_unique<ingest::BufferedByteSource>(fixture(name)),
         fixture(name), ParseMode::kLenient);
+    EXPECT_EQ(mapped.header_ok(), buffered.header_ok());
+    EXPECT_EQ(mapped.tick(), buffered.tick());
+    if (mapped.header_ok()) {
+      EXPECT_EQ(mapped.linktype(), buffered.linktype());
+    }
     EXPECT_TRUE(same_raw(drain(mapped), drain(buffered)));
     expect_same_stats(mapped.stats(), buffered.stats());
   }
@@ -166,7 +141,154 @@ TEST(MmapPcapReader, ResetReproducesIdenticalPackets) {
   EXPECT_TRUE(same_raw(bfirst, drain(b)));
 }
 
-// --------------------------------------------- flat == node flow table
+// ---------------------------------------- flat == reference flow table
+
+// The flow-reconstruction rules (flow_table.hpp) restated as plainly as
+// possible: std::map for flows, hosts and FTP sessions, and the LRU as a
+// map from touch sequence number to flow key. Slow and obviously
+// ordered — the oracle the open-addressing table is pinned against.
+class RefFlowTable {
+ public:
+  explicit RefFlowTable(ingest::FlowTableConfig config) : config_(config) {}
+
+  trace::PacketRecord add(const RawPacket& pkt) {
+    if (!any_ || pkt.time > clock_) clock_ = pkt.time;
+    any_ = true;
+    while (!lru_.empty() &&
+           clock_ - flows_.at(lru_.begin()->second).last >
+               config_.idle_timeout)
+      close(lru_.begin()->second);
+
+    const bool a_first =
+        pkt.src_ip < pkt.dst_ip ||
+        (pkt.src_ip == pkt.dst_ip && pkt.src_port <= pkt.dst_port);
+    const Key key = a_first ? Key{pkt.src_ip, pkt.dst_ip, pkt.src_port,
+                                  pkt.dst_port, pkt.tcp}
+                            : Key{pkt.dst_ip, pkt.src_ip, pkt.dst_port,
+                                  pkt.src_port, pkt.tcp};
+    if (!flows_.count(key)) open(key, pkt);
+    Flow& flow = flows_.at(key);
+
+    const bool from_orig =
+        pkt.src_ip == flow.orig_ip && pkt.src_port == flow.orig_port;
+    if (pkt.time > flow.last) flow.last = pkt.time;
+    (from_orig ? flow.bytes_orig : flow.bytes_resp) += pkt.payload_bytes;
+    lru_.erase(flow.touched);
+    flow.touched = ++touches_;
+    lru_[flow.touched] = key;
+
+    trace::PacketRecord rec;
+    rec.time = pkt.time;
+    rec.protocol = flow.protocol;
+    rec.conn_id = flow.conn_id;
+    rec.from_originator = from_orig;
+    rec.payload_bytes = static_cast<std::uint16_t>(
+        pkt.payload_bytes > 0xFFFF ? 0xFFFF : pkt.payload_bytes);
+    if (pkt.tcp) {
+      if (pkt.tcp_flags & ingest::kTcpFin)
+        (from_orig ? flow.fin_orig : flow.fin_resp) = true;
+      if ((pkt.tcp_flags & ingest::kTcpRst) ||
+          (flow.fin_orig && flow.fin_resp))
+        close(key);
+    }
+    return rec;
+  }
+
+  void flush() {
+    while (!lru_.empty()) close(lru_.begin()->second);
+  }
+  void take_closed(std::vector<trace::ConnRecord>& out) {
+    out.insert(out.end(), closed_.begin(), closed_.end());
+    closed_.clear();
+  }
+  std::size_t host_count() const { return hosts_.size(); }
+  std::uint32_t connections_seen() const { return next_conn_id_ - 1; }
+
+ private:
+  using Key = std::tuple<std::uint32_t, std::uint32_t, std::uint16_t,
+                         std::uint16_t, bool>;
+  struct Flow {
+    std::uint32_t conn_id = 0;
+    std::uint32_t orig_ip = 0, resp_ip = 0;
+    std::uint16_t orig_port = 0;
+    double first = 0.0, last = 0.0;
+    std::uint64_t bytes_orig = 0, bytes_resp = 0;
+    trace::Protocol protocol = trace::Protocol::kOther;
+    std::uint64_t session_id = 0;
+    bool fin_orig = false, fin_resp = false;
+    std::uint64_t touched = 0;
+  };
+
+  static std::uint64_t host_pair(std::uint32_t a, std::uint32_t b) {
+    return (std::uint64_t{std::min(a, b)} << 32) | std::max(a, b);
+  }
+  std::uint32_t host_id(std::uint32_t ip) {
+    return hosts_.emplace(ip, static_cast<std::uint32_t>(hosts_.size() + 1))
+        .first->second;
+  }
+
+  void open(const Key& key, const RawPacket& pkt) {
+    Flow flow;
+    flow.conn_id = next_conn_id_++;
+    // A SYN+ACK first means the responder's half was caught first.
+    const bool reversed = pkt.tcp && (pkt.tcp_flags & ingest::kTcpSyn) &&
+                          (pkt.tcp_flags & ingest::kTcpAck);
+    flow.orig_ip = reversed ? pkt.dst_ip : pkt.src_ip;
+    flow.orig_port = reversed ? pkt.dst_port : pkt.src_port;
+    flow.resp_ip = reversed ? pkt.src_ip : pkt.dst_ip;
+    const std::uint16_t resp_port = reversed ? pkt.src_port : pkt.dst_port;
+    flow.first = flow.last = pkt.time;
+    flow.protocol =
+        pkt.tcp ? ingest::classify_tcp(resp_port, flow.orig_port)
+                : ingest::classify_udp(resp_port, flow.orig_port,
+                                       pkt.multicast);
+    host_id(flow.orig_ip);
+    host_id(flow.resp_ip);
+    const std::uint64_t pair = host_pair(flow.orig_ip, flow.resp_ip);
+    if (flow.protocol == trace::Protocol::kFtpCtrl) {
+      ftp_sessions_[pair] = flow.conn_id;
+    } else if (flow.protocol == trace::Protocol::kFtpData) {
+      const auto it = ftp_sessions_.find(pair);
+      flow.session_id = it != ftp_sessions_.end() ? it->second : 0;
+    }
+    flows_[key] = flow;  // touched (and put in the LRU) by add()
+  }
+
+  // By value: callers pass the key stored in lru_, which this erases.
+  void close(Key key) {
+    const Flow flow = flows_.at(key);
+    if (config_.collect_connections) {
+      trace::ConnRecord rec;
+      rec.start = flow.first;
+      rec.duration = flow.last - flow.first;
+      rec.protocol = flow.protocol;
+      rec.src_host = host_id(flow.orig_ip);
+      rec.dst_host = host_id(flow.resp_ip);
+      rec.bytes_orig = flow.bytes_orig;
+      rec.bytes_resp = flow.bytes_resp;
+      rec.session_id = flow.session_id;
+      closed_.push_back(rec);
+    }
+    const auto sess =
+        ftp_sessions_.find(host_pair(flow.orig_ip, flow.resp_ip));
+    if (flow.protocol == trace::Protocol::kFtpCtrl &&
+        sess != ftp_sessions_.end() && sess->second == flow.conn_id)
+      ftp_sessions_.erase(sess);
+    lru_.erase(flow.touched);
+    flows_.erase(key);
+  }
+
+  ingest::FlowTableConfig config_;
+  std::map<Key, Flow> flows_;
+  std::map<std::uint64_t, Key> lru_;  ///< touch number -> flow, oldest first
+  std::map<std::uint32_t, std::uint32_t> hosts_;
+  std::map<std::uint64_t, std::uint32_t> ftp_sessions_;
+  std::vector<trace::ConnRecord> closed_;
+  std::uint32_t next_conn_id_ = 1;
+  std::uint64_t touches_ = 0;
+  double clock_ = 0.0;
+  bool any_ = false;
+};
 
 RawPacket mk(double t, std::uint32_t src, std::uint32_t dst,
              std::uint16_t sport, std::uint16_t dport, std::uint8_t flags,
@@ -235,10 +357,10 @@ void expect_same_run(const TableRun& a, const TableRun& b) {
 void expect_table_parity(const std::vector<RawPacket>& stream,
                          ingest::FlowTableConfig cfg = {}) {
   expect_same_run(run_table<ingest::FlowTable>(stream, cfg),
-                  run_table<ingest::NodeFlowTable>(stream, cfg));
+                  run_table<RefFlowTable>(stream, cfg));
 }
 
-TEST(FlatFlowTable, MatchesNodeTableOnCloseAndReincarnation) {
+TEST(FlatFlowTable, MatchesReferenceTableOnCloseAndReincarnation) {
   using ingest::kTcpAck;
   using ingest::kTcpFin;
   using ingest::kTcpRst;
@@ -262,7 +384,7 @@ TEST(FlatFlowTable, MatchesNodeTableOnCloseAndReincarnation) {
   expect_table_parity(s);
 }
 
-TEST(FlatFlowTable, MatchesNodeTableOnIdleTimeoutEviction) {
+TEST(FlatFlowTable, MatchesReferenceTableOnIdleTimeoutEviction) {
   using ingest::kTcpAck;
   using ingest::kTcpSyn;
   ingest::FlowTableConfig cfg;
@@ -281,10 +403,19 @@ TEST(FlatFlowTable, MatchesNodeTableOnIdleTimeoutEviction) {
   // UDP flows only ever close by eviction or flush.
   s.push_back(mk(4.2, 7, 8, 4000, 53, 0, 30, false));
   s.push_back(mk(4.3, 8, 7, 53, 4000, 0, 90, false));
+  // The boundary: idle exactly idle_timeout keeps a flow (same conn id
+  // at 10.0), idle just past it evicts (a fresh id at 12.25).
+  s.push_back(mk(8.0, 9, 10, 5000, 23, kTcpSyn, 0));
+  s.push_back(mk(10.0, 11, 12, 5001, 79, kTcpSyn, 0));
+  s.push_back(mk(10.0, 9, 10, 5000, 23, kTcpAck, 5));
+  s.push_back(mk(12.25, 9, 10, 5000, 23, kTcpSyn, 0));
+  const TableRun ref = run_table<RefFlowTable>(s, cfg);
+  EXPECT_EQ(ref.pkts[s.size() - 2].conn_id, ref.pkts[s.size() - 4].conn_id);
+  EXPECT_NE(ref.pkts[s.size() - 1].conn_id, ref.pkts[s.size() - 2].conn_id);
   expect_table_parity(s, cfg);
 }
 
-TEST(FlatFlowTable, MatchesNodeTableOnFtpSessionStamping) {
+TEST(FlatFlowTable, MatchesReferenceTableOnFtpSessionStamping) {
   using ingest::kTcpAck;
   using ingest::kTcpFin;
   using ingest::kTcpSyn;
@@ -301,7 +432,7 @@ TEST(FlatFlowTable, MatchesNodeTableOnFtpSessionStamping) {
   expect_table_parity(s);
 }
 
-TEST(FlatFlowTable, MatchesNodeTableAcrossRehashGrowth) {
+TEST(FlatFlowTable, MatchesReferenceTableAcrossRehashGrowth) {
   using ingest::kTcpAck;
   using ingest::kTcpFin;
   using ingest::kTcpSyn;
@@ -359,15 +490,16 @@ TEST(PcapColumnSource, ColumnsMatchRowSourceRows) {
   expect_same_stats(cols.stats(), rows.stats());
 }
 
-TEST(PcapColumnSource, AnalysisIsByteIdenticalToLegacyRowIngest) {
+TEST(PcapColumnSource, AnalysisIsByteIdenticalToBatchOracle) {
   // The full fast path (mmap -> flat table -> columns -> columnar
-  // analysis) against the full legacy path (ifstream -> rows -> row
-  // analysis): same result, same figure CSV bytes.
+  // analysis) against the batch analysis of the materialized trace:
+  // same result, same figure CSV bytes.
   stream::PipelineOptions opt;
   ingest::PcapColumnSource cols(fixture("tiny_le.pcap"), ParseMode::kStrict);
   const auto fast = stream::analyze_columns(cols, opt);
-  ingest::PcapPacketSource rows(fixture("tiny_le.pcap"), ParseMode::kStrict);
-  const auto legacy = stream::analyze_stream_rows(rows, opt);
+  ingest::MmapPcapPacketSource rows(fixture("tiny_le.pcap"),
+                                    ParseMode::kStrict);
+  const auto legacy = stream::analyze_batch(stream::collect(rows), opt);
 
   EXPECT_EQ(fast.packets, legacy.packets);
   EXPECT_EQ(fast.bin, legacy.bin);
@@ -378,15 +510,12 @@ TEST(PcapColumnSource, AnalysisIsByteIdenticalToLegacyRowIngest) {
 }
 
 TEST(PcapColumnSource, FactoryBridgesAndNativePathAgree) {
-  ingest::IngestOptions native;
-  ingest::IngestOptions legacy;
-  legacy.rows_ingest = true;
   const auto a = ingest::open_packet_column_source(
-      fixture("tiny_le.pcap"), ingest::IngestFormat::kPcap, native);
-  const auto b = ingest::open_packet_column_source(
-      fixture("tiny_le.pcap"), ingest::IngestFormat::kPcap, legacy);
+      fixture("tiny_le.pcap"), ingest::IngestFormat::kPcap, {});
+  ingest::ColumnsFromIngest b(std::make_unique<ingest::MmapPcapPacketSource>(
+      fixture("tiny_le.pcap"), ParseMode::kStrict));
   const auto ca = stream::collect_columns(*a);
-  const auto cb = stream::collect_columns(*b);
+  const auto cb = stream::collect_columns(b);
   ASSERT_EQ(ca.size(), cb.size());
   EXPECT_EQ(ca.time, cb.time);
   EXPECT_EQ(ca.protocol, cb.protocol);
@@ -473,6 +602,33 @@ TEST(OnepassAnalysis, ThrowsSeriesTooShortExactlyLikeEager) {
       stream::kDefaultChunkSize, ingest::Prescan::kDeferred);
   EXPECT_THROW(ingest::analyze_pcap_onepass(deferred, opt),
                std::invalid_argument);
+}
+
+TEST(OnepassAnalysis, StrictErrorsMatchTheEagerConstructor) {
+  // The one-pass path is the tool's strict error path: the defect
+  // surfaces mid-analysis instead of in the constructor's prescan, but
+  // it must be the same IngestError with the same message.
+  for (const char* name : {"tiny_ooo.pcap", "trunc.pcap"}) {
+    SCOPED_TRACE(name);
+    std::string eager_what;
+    try {
+      ingest::PcapColumnSource eager(fixture(name), ParseMode::kStrict);
+      ADD_FAILURE() << "eager constructor accepted a corrupt capture";
+    } catch (const IngestError& e) {
+      eager_what = e.what();
+    }
+    ASSERT_FALSE(eager_what.empty());
+
+    ingest::PcapColumnSource deferred(
+        fixture(name), ParseMode::kStrict, {}, stream::kDefaultChunkSize,
+        ingest::Prescan::kDeferred);
+    try {
+      ingest::analyze_pcap_onepass(deferred, {});
+      ADD_FAILURE() << "one-pass analysis accepted a corrupt capture";
+    } catch (const IngestError& e) {
+      EXPECT_EQ(std::string(e.what()), eager_what);
+    }
+  }
 }
 
 TEST(OnepassAnalysis, DeferredSourceIsRejectedByStandardPipelines) {
@@ -569,15 +725,11 @@ TEST(StdinInput, RejectsConfigurationsThatNeedANamedFile) {
       ingest::open_packet_source("-", ingest::IngestFormat::kLblPkt, opt),
       std::invalid_argument);
   EXPECT_THROW(
-      ingest::open_conn_source("-", ingest::IngestFormat::kLblConn, opt),
-      std::invalid_argument);
-  opt.rows_ingest = true;
-  EXPECT_THROW(
-      ingest::open_packet_source("-", ingest::IngestFormat::kPcap, opt),
-      std::invalid_argument);
-  EXPECT_THROW(
-      ingest::open_packet_column_source("-", ingest::IngestFormat::kPcap,
+      ingest::open_packet_column_source("-", ingest::IngestFormat::kLblPkt,
                                         opt),
+      std::invalid_argument);
+  EXPECT_THROW(
+      ingest::open_conn_source("-", ingest::IngestFormat::kLblConn, opt),
       std::invalid_argument);
 }
 

@@ -468,15 +468,15 @@ TEST(ShardPipeline, IngestedPcapShardingIsByteIdenticalToSerial) {
   stream::PipelineOptions opt;
   opt.bin = 0.1;
 
-  ingest::PcapPacketSource serial_src(fixture("tiny_le.pcap"),
-                                      ingest::ParseMode::kStrict);
+  ingest::MmapPcapPacketSource serial_src(fixture("tiny_le.pcap"),
+                                          ingest::ParseMode::kStrict);
   const stream::PipelineResult serial = stream::analyze_stream(serial_src, opt);
   const std::string want = stream::vt_csv(serial);
   ASSERT_GT(serial.packets, 0u);
 
   for (std::size_t shards : {std::size_t{4}, std::size_t{7}}) {
-    ingest::PcapPacketSource src(fixture("tiny_le.pcap"),
-                                 ingest::ParseMode::kStrict);
+    ingest::MmapPcapPacketSource src(fixture("tiny_le.pcap"),
+                                     ingest::ParseMode::kStrict);
     const stream::PipelineResult sharded =
         stream::analyze_stream_sharded(src, opt, {shards, 2});
     EXPECT_EQ(sharded.packets, serial.packets);
@@ -640,16 +640,16 @@ TEST(ShardIngest, ShardedFlowTableMatchesSerialOnSyntheticStream) {
 // chunk stream byte-for-byte, reports the reader's ledger, and its
 // per-shard record ledgers merge to the reader's record count.
 TEST(ShardIngest, ShardedPacketSourceMatchesSerialSource) {
-  ingest::PcapPacketSource serial(fixture("tiny_le.pcap"),
-                                  ingest::ParseMode::kStrict);
+  ingest::MmapPcapPacketSource serial(fixture("tiny_le.pcap"),
+                                      ingest::ParseMode::kStrict);
   const trace::PacketTrace want = stream::collect(serial);
   ASSERT_GT(want.size(), 0u);
 
   for (std::size_t shards : {std::size_t{2}, std::size_t{5}}) {
     for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
       par::set_thread_count(threads);
-      ingest::ShardedPcapPacketSource src(fixture("tiny_le.pcap"),
-                                          ingest::ParseMode::kStrict, shards);
+      ingest::ShardedMmapPcapPacketSource src(
+          fixture("tiny_le.pcap"), ingest::ParseMode::kStrict, shards);
       EXPECT_EQ(src.info().name, serial.info().name);
       const trace::PacketTrace got = stream::collect(src);
       ASSERT_EQ(got.size(), want.size());

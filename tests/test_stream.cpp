@@ -15,7 +15,8 @@
 #include "src/stream/binary_chunk.hpp"
 #include "src/stream/chunk.hpp"
 #include "src/stream/csv_chunk.hpp"
-#include "src/stream/filters.hpp"
+#include "src/stream/columnar.hpp"
+#include "src/stream/columnar_filters.hpp"
 #include "src/stream/pipeline.hpp"
 #include "src/synth/stream_synth.hpp"
 #include "src/synth/synthesizer.hpp"
@@ -189,23 +190,32 @@ TEST(CsvChunk, SourceParsesWhatTheBatchReaderParses) {
 
 // --- Filters -----------------------------------------------------------
 
+// The streaming filters are columnar (src/stream/columnar_filters.hpp);
+// the batch PacketTrace methods are their oracle.
+trace::PacketTrace collect_columns_as_trace(stream::PacketColumnSource& src) {
+  stream::RowsFromColumns rows(src);
+  return stream::collect(rows);
+}
+
 TEST(StreamFilters, ProtocolFilterMatchesBatch) {
   const trace::PacketTrace t = make_test_trace();
   const trace::PacketTrace want = t.filter(trace::Protocol::kTelnet);
   stream::TraceChunkSource base(t, /*chunk_size=*/11);
-  stream::FilterSource f =
-      stream::protocol_filter(base, trace::Protocol::kTelnet);
+  stream::ColumnsFromRows cols(base);
+  stream::ColumnFilterSource f =
+      stream::protocol_filter_columns(cols, trace::Protocol::kTelnet);
   EXPECT_EQ(f.info().name, want.name());
-  expect_same_records(stream::collect(f), want);
+  expect_same_records(collect_columns_as_trace(f), want);
 }
 
 TEST(StreamFilters, OriginatorDataFilterMatchesBatch) {
   const trace::PacketTrace t = make_test_trace();
   const trace::PacketTrace want = t.originator_data_packets();
   stream::TraceChunkSource base(t, /*chunk_size=*/11);
-  stream::FilterSource f = stream::originator_data_filter(base);
+  stream::ColumnsFromRows cols(base);
+  stream::ColumnFilterSource f = stream::originator_data_filter_columns(cols);
   EXPECT_EQ(f.info().name, want.name());
-  expect_same_records(stream::collect(f), want);
+  expect_same_records(collect_columns_as_trace(f), want);
 }
 
 TEST(StreamFilters, BulkOutlierSourceMatchesBatch) {
@@ -213,13 +223,14 @@ TEST(StreamFilters, BulkOutlierSourceMatchesBatch) {
   const trace::PacketTrace want = t.remove_bulk_outliers();
   ASSERT_LT(want.size(), t.size());  // conn 99 must actually be dropped
   stream::TraceChunkSource base(t, /*chunk_size=*/11);
-  stream::BulkOutlierSource f(base);
+  stream::ColumnsFromRows cols(base);
+  stream::ColumnBulkOutlierSource f(cols);
   EXPECT_EQ(f.info().name, want.name());
-  expect_same_records(stream::collect(f), want);
+  expect_same_records(collect_columns_as_trace(f), want);
 
   // The second pass reuses the outlier set; replay is identical.
   f.reset();
-  expect_same_records(stream::collect(f), want);
+  expect_same_records(collect_columns_as_trace(f), want);
 }
 
 TEST(StreamFilters, StackedFiltersMatchBatchComposition) {
@@ -228,12 +239,14 @@ TEST(StreamFilters, StackedFiltersMatchBatchComposition) {
                                       .originator_data_packets()
                                       .remove_bulk_outliers();
   stream::TraceChunkSource base(t, /*chunk_size=*/11);
-  stream::FilterSource proto =
-      stream::protocol_filter(base, trace::Protocol::kTelnet);
-  stream::FilterSource orig = stream::originator_data_filter(proto);
-  stream::BulkOutlierSource clean(orig);
+  stream::ColumnsFromRows cols(base);
+  // The fused source derives the same stacked name and record sequence
+  // as the two batch filters applied in turn.
+  stream::ColumnFilterSource fused(cols, trace::Protocol::kTelnet,
+                                   /*orig_data=*/true);
+  stream::ColumnBulkOutlierSource clean(fused);
   EXPECT_EQ(clean.info().name, want.name());
-  expect_same_records(stream::collect(clean), want);
+  expect_same_records(collect_columns_as_trace(clean), want);
 }
 
 // --- Accumulators vs span statistics -----------------------------------

@@ -13,26 +13,25 @@
 // through flow reconstruction (src/ingest) on the way in, so the
 // analyses below see the same record types either way. Ingestion is
 // strict by default; --lenient salvages damaged captures and prints the
-// error ledger. pcap ingestion defaults to the zero-copy fast path
-// (mmap'd decode, flat flow table, direct columnar emission — DESIGN.md
-// §14); --rows-ingest selects the retained ifstream row reader, which
-// produces the same bytes slower.
+// error ledger. pcap is decoded on the zero-copy path (mmap'd decode,
+// flat flow table, direct columnar emission — DESIGN.md §14), and the
+// serial --stream analysis of a pcap runs in one decode pass
+// (analyze_pcap_onepass): the time range is learned from the packets as
+// they are binned, and a capture out of time order falls back to the
+// eager prescan + analysis. The bytes out are the same either way.
 //
-// --stream runs the packet analysis through the chunked pipeline
-// (src/stream): the file is never materialized in memory, yet the
-// results — including the --vt-csv figure file — are byte-identical to
-// the batch path's. The streamed analysis is columnar by default
-// (src/stream/columnar.hpp); --rows forces the retained row-at-a-time
-// pipeline, which produces the same bytes several times slower.
+// --stream runs the packet analysis through the chunked columnar
+// pipeline (src/stream): the file is never materialized in memory, yet
+// the results — including the --vt-csv figure file — are
+// byte-identical to the batch path's.
 //
 // --shards N (pkt mode, implies --stream) fans the analysis — and,
 // with --ingest-format, flow reconstruction itself — across N
 // flow-hash shards on the src/par worker pool (--threads M sizes it).
 // Sharded output is byte-identical to the serial path at every shard
 // and thread count; see src/stream/shard.hpp for the contract.
-// --shards contradicts --rows (the row pipeline has no sharded path)
-// and conn mode (connection closure order is not shard-invariant);
-// both combinations are rejected, as is --shards 0.
+// --shards contradicts conn mode (connection closure order is not
+// shard-invariant) and is rejected there, as is --shards 0.
 //
 // --window W (pkt mode) switches to the incremental sliding-window
 // engine (src/stream/window_analyzer.hpp): one report row per --slide S
@@ -41,16 +40,18 @@
 // rolling periodogram, optionally an aggregation sweep
 // (--sweep-levels) and a windowed Appendix-A verdict
 // (--poisson-interval I). --window-csv FILE writes the rows as a
-// figure CSV. The engine is columnar and single-stream by design, so
-// --window rejects --rows, --shards and the whole-stream-only
-// --filtered/--vt-csv outputs with reasoned messages.
+// figure CSV. The engine is single-stream by design, so --window
+// rejects --shards and the whole-stream-only --filtered/--vt-csv
+// outputs with reasoned messages.
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <memory>
 #include <string>
 
 #include "src/core/poisson_report.hpp"
 #include "src/ingest/ingest.hpp"
+#include "src/ingest/onepass.hpp"
 #include "src/par/parallel.hpp"
 #include "src/selfsim/hurst_report.hpp"
 #include "src/stats/tail_fit.hpp"
@@ -77,7 +78,7 @@ int usage() {
                "  wantraffic_analyze pkt FILE [--bin SEC] "
                "[--protocol NAME] [--binary]\n"
                "                         [--filtered] [--vt-csv FILE] "
-               "[--stream] [--rows] [--chunk N]\n"
+               "[--stream] [--chunk N]\n"
                "                         [--shards N (implies --stream)] "
                "[--threads N]\n"
                "                         [--window SEC [--slide SEC] "
@@ -86,7 +87,7 @@ int usage() {
                "[--poisson-interval SEC]\n"
                "                          [--window-csv FILE]]\n"
                "  either mode: [--ingest-format pcap|lbl-conn|lbl-pkt] "
-               "[--lenient] [--rows-ingest]\n"
+               "[--lenient]\n"
                "  FILE may be - (stdin) with --ingest-format pcap\n");
   return 2;
 }
@@ -110,7 +111,6 @@ ingest::IngestOptions ingest_options(const tools::ArgParser& args) {
   opt.mode = args.has("--lenient") ? ingest::ParseMode::kLenient
                                    : ingest::ParseMode::kStrict;
   opt.chunk_size = args.count("--chunk", opt.chunk_size, 1);
-  opt.rows_ingest = args.has("--rows-ingest");
   return opt;
 }
 
@@ -184,21 +184,31 @@ int report_pkt(const stream::PipelineResult& result,
   return 0;
 }
 
-// Streamed analysis entry point: columnar by default, sharded across
-// the worker pool under --shards, the retained row pipeline under
-// --rows. Byte-identical every way.
-stream::PipelineResult analyze(stream::PacketChunkSource& src,
+// Streamed whole-stream analysis: sharded across the worker pool under
+// --shards, serial otherwise. Byte-identical either way.
+stream::PipelineResult analyze(stream::PacketColumnSource& src,
                                const stream::PipelineOptions& opt,
-                               const tools::ArgParser& args,
                                std::size_t shards) {
-  if (shards > 1) return stream::analyze_stream_sharded(src, opt, {shards});
-  if (args.has("--rows")) return stream::analyze_stream_rows(src, opt);
-  return stream::analyze_stream(src, opt);
+  if (shards > 1) return stream::analyze_sharded(src, opt, {shards});
+  return stream::analyze_columns(src, opt);
+}
+
+// The ingest paths' report: the source line and ledger, then the
+// battery.
+int report_ingested(const stream::PipelineResult& result,
+                    const std::string& path,
+                    const ingest::IngestColumnSource& src,
+                    const tools::ArgParser& args) {
+  std::printf("ingested %llu packets from %s (%s)\n",
+              static_cast<unsigned long long>(result.packets), path.c_str(),
+              src.info().name.c_str());
+  print_ingest_ledger(src.stats());
+  return report_pkt(result, args);
 }
 
 // Drains the source through the sliding-window engine and prints one
 // report row per slide (plus the optional figure CSV).
-int run_windowed(stream::PacketChunkSource& src,
+int run_windowed(stream::PacketColumnSource& src,
                  const stream::WindowedOptions& opt,
                  const tools::ArgParser& args) {
   const auto reports = stream::analyze_windowed(src, opt);
@@ -236,8 +246,6 @@ std::optional<stream::WindowedOptions> windowed_options(
                                     "engine: pass --window SECONDS");
     return std::nullopt;
   }
-  args.reject_together("--window", "--rows",
-                       "the sliding-window engine is columnar-only");
   args.reject_together("--window", "--shards",
                        "the sliding-window engine emits one time-ordered "
                        "report stream; shard-merge of windowed state is a "
@@ -262,8 +270,6 @@ std::optional<stream::WindowedOptions> windowed_options(
 }
 
 int run_pkt(const std::string& path, const tools::ArgParser& args) {
-  args.reject_together("--rows", "--shards",
-                       "the retained row pipeline has no sharded path");
   const std::size_t shards = args.count("--shards", 1, 1);
   stream::PipelineOptions opt;
   opt.bin = args.number("--bin", opt.bin);
@@ -285,52 +291,36 @@ int run_pkt(const std::string& path, const tools::ArgParser& args) {
   if (const auto format = ingest_format(args)) {
     ingest::IngestOptions iopt = ingest_options(args);
     iopt.shards = shards;  // shard flow reconstruction too
-    // The zero-copy fast path: mmap'd decode feeds columns straight
-    // into analyze_columns — no PacketRecord chunk, no transpose. Taken
-    // whenever the streamed columnar analysis would run anyway.
-    if (!windowed && args.has("--stream") && shards == 1 &&
-        !args.has("--rows")) {
-      const auto src = ingest::open_packet_column_source(path, *format, iopt);
-      const auto result = stream::analyze_columns(*src, opt);
-      std::printf("ingested %llu packets from %s (%s)\n",
-                  static_cast<unsigned long long>(result.packets),
-                  path.c_str(), src->info().name.c_str());
-      print_ingest_ledger(src->stats());
-      return report_pkt(result, args);
+    // Serial whole-stream pcap analysis skips the prescan: one decode
+    // pass learns the time range as it bins, with the eager two-pass
+    // path as the fallback for a capture out of time order.
+    if (*format == ingest::IngestFormat::kPcap && !windowed &&
+        shards == 1 && args.has("--stream")) {
+      ingest::PcapColumnSource src(path, iopt.mode, iopt.flow,
+                                   iopt.chunk_size,
+                                   ingest::Prescan::kDeferred);
+      return report_ingested(ingest::analyze_pcap_onepass(src, opt), path,
+                             src, args);
     }
-    const auto src = ingest::open_packet_source(path, *format, iopt);
+    const auto src = ingest::open_packet_column_source(path, *format, iopt);
     if (windowed) return run_windowed(*src, *windowed, args);
-    stream::PipelineResult result;
-    if (args.has("--stream") || shards > 1) {
-      result = analyze(*src, opt, args, shards);
-    } else {
-      result = stream::analyze_batch(stream::collect(*src), opt);
-    }
-    std::printf("ingested %llu packets from %s (%s)\n",
-                static_cast<unsigned long long>(result.packets), path.c_str(),
-                src->info().name.c_str());
-    print_ingest_ledger(src->stats());
-    return report_pkt(result, args);
+    if (args.has("--stream") || shards > 1)
+      return report_ingested(analyze(*src, opt, shards), path, *src, args);
+    stream::RowsFromColumns rows(*src);
+    return report_ingested(stream::analyze_batch(stream::collect(rows), opt),
+                           path, *src, args);
   }
 
-  if (windowed) {
+  if (windowed || args.has("--stream") || shards > 1) {
+    std::unique_ptr<stream::PacketChunkSource> rows;
     if (args.has("--binary")) {
-      stream::BinaryChunkSource src(path, opt.chunk_size);
-      return run_windowed(src, *windowed, args);
-    }
-    stream::CsvChunkSource src(path, opt.chunk_size);
-    return run_windowed(src, *windowed, args);
-  }
-
-  if (args.has("--stream") || shards > 1) {
-    stream::PipelineResult result;
-    if (args.has("--binary")) {
-      stream::BinaryChunkSource src(path, opt.chunk_size);
-      result = analyze(src, opt, args, shards);
+      rows = std::make_unique<stream::BinaryChunkSource>(path, opt.chunk_size);
     } else {
-      stream::CsvChunkSource src(path, opt.chunk_size);
-      result = analyze(src, opt, args, shards);
+      rows = std::make_unique<stream::CsvChunkSource>(path, opt.chunk_size);
     }
+    stream::ColumnsFromRows src(*rows);
+    if (windowed) return run_windowed(src, *windowed, args);
+    const stream::PipelineResult result = analyze(src, opt, shards);
     std::printf("streamed %llu packets from %s (%s)\n",
                 static_cast<unsigned long long>(result.packets), path.c_str(),
                 result.info.name.c_str());
@@ -351,8 +341,6 @@ int main(int argc, char** argv) {
   args.add_flag("--binary");
   args.add_flag("--filtered");
   args.add_flag("--stream");
-  args.add_flag("--rows");
-  args.add_flag("--rows-ingest");
   args.add_flag("--lenient");
   args.add_option("--ingest-format");
   args.add_option("--interval");

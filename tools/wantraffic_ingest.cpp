@@ -12,9 +12,10 @@
 //     for lbl-conn) summarized per protocol and optionally written as
 //     connection CSV. FORMAT is pcap, lbl-conn or lbl-pkt.
 //
-// INPUT may be "-" for pcap: stdin is spooled to an anonymous temp file
-// and served through the buffered byte source, so the usual two-pass
-// (prescan + rewind) readers work on piped captures unchanged.
+// pcap goes through one reader: a regular file is mapped and decoded in
+// place; INPUT "-" (stdin) is spooled to an anonymous temp file and
+// served through the buffered byte source, so the usual two-pass
+// (prescan + rewind) sources work on piped captures unchanged.
 //
 // Parsing is strict by default: the first structural defect aborts the
 // run. --lenient salvages what the file still holds and prints the
@@ -54,7 +55,7 @@ int usage() {
       "  wantraffic_ingest pkt  FORMAT INPUT --out FILE [--csv]\n"
       "                         [--lenient] [--chunk N] [--idle-timeout "
       "SEC]\n"
-      "                         [--shards N] [--threads N] [--rows-ingest]\n"
+      "                         [--shards N] [--threads N]\n"
       "  wantraffic_ingest conn FORMAT INPUT [--out FILE] [--lenient]\n"
       "                         [--chunk N] [--idle-timeout SEC]\n"
       "  FORMAT: pcap | lbl-conn | lbl-pkt\n"
@@ -70,9 +71,6 @@ ingest::IngestOptions make_options(const tools::ArgParser& args) {
   opt.flow.idle_timeout =
       args.number("--idle-timeout", opt.flow.idle_timeout);
   opt.shards = args.count("--shards", 1, 1);
-  // pcap reads default to the mmap'd zero-copy reader; this selects the
-  // retained ifstream path (same bytes out, slower — for A/B runs).
-  opt.rows_ingest = args.has("--rows-ingest");
   return opt;
 }
 
@@ -153,7 +151,6 @@ int main(int argc, char** argv) {
   tools::ArgParser args(argc, argv);
   args.add_flag("--csv");
   args.add_flag("--lenient");
-  args.add_flag("--rows-ingest");
   args.add_option("--out");
   args.add_option("--chunk");
   args.add_option("--idle-timeout");
