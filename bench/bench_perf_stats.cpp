@@ -91,7 +91,7 @@ bool bench_columnar(bench::Harness& harness, const char* op,
   r.unit = "packets";
   r.serial_ms = r.parallel_ms = bench::min_time_ms(
       [&] {
-        stream::ColumnTableSource src(table, info, opt.chunk_size);
+        stream::ColumnTableSource src(table, info);
         col_res = stream::analyze_columns(src, opt);
       },
       reps);

@@ -65,8 +65,10 @@ PhaseResult run_stream(const synth::PacketDatasetConfig& cfg,
   PhaseResult r;
   r.ms = bench::min_time_ms(
       [&] {
-        synth::StreamingPacketSynthesizer src(cfg, opt.chunk_size);
-        const stream::PipelineResult res = stream::analyze_stream(src, opt);
+        synth::StreamingPacketSynthesizer src(cfg);
+        stream::ColumnsFromRows columns(src);
+        const stream::PipelineResult res =
+            stream::analyze_columns(columns, opt);
         r.packets = res.packets;
         r.vt_csv = stream::vt_csv(res);
       },

@@ -92,8 +92,9 @@ ProtocolStudy run_study(const synth::PacketDatasetConfig& cfg,
   std::vector<double> counts;
   s.stream_ms = bench::min_time_ms(
       [&] {
-        synth::StreamingPacketSynthesizer src(cfg, opt.chunk_size);
-        stream::PipelineResult res = stream::analyze_stream(src, opt);
+        synth::StreamingPacketSynthesizer src(cfg);
+        stream::ColumnsFromRows columns(src);
+        stream::PipelineResult res = stream::analyze_columns(columns, opt);
         s.packets = res.packets;
         counts = std::move(res.counts);
       },

@@ -153,7 +153,7 @@ std::unique_ptr<ByteSource> spooled_byte_source(int fd,
   char spool_path[] = "/tmp/wantraffic_spool_XXXXXX";
   const int spool = ::mkstemp(spool_path);
   if (spool < 0)
-    throw_errno("cannot create stdin spool file", name);
+    throw_errno("cannot create input spool file", name);
   ::unlink(spool_path);  // anonymous: vanishes with the descriptor
 
   std::vector<unsigned char> block(std::size_t{1} << 20);
@@ -173,14 +173,14 @@ std::unique_ptr<ByteSource> spooled_byte_source(int fd,
       if (put < 0) {
         if (errno == EINTR) continue;
         ::close(spool);
-        throw_errno("write to stdin spool failed", name);
+        throw_errno("write to input spool failed", name);
       }
       off += static_cast<std::size_t>(put);
     }
   }
   if (::lseek(spool, 0, SEEK_SET) != 0) {
     ::close(spool);
-    throw_errno("cannot rewind stdin spool", name);
+    throw_errno("cannot rewind input spool", name);
   }
   return std::make_unique<BufferedByteSource>(spool, name);
 }
@@ -188,14 +188,27 @@ std::unique_ptr<ByteSource> spooled_byte_source(int fd,
 std::unique_ptr<ByteSource> open_byte_source(const std::string& path) {
   if (path == "-") return spooled_byte_source(0, "<stdin>");
   struct stat st {};
-  if (::stat(path.c_str(), &st) == 0 && S_ISREG(st.st_mode)) {
+  const bool exists = ::stat(path.c_str(), &st) == 0;
+  if (exists && S_ISREG(st.st_mode)) {
     try {
       return std::make_unique<MmapByteSource>(path);
     } catch (const std::runtime_error&) {
       // Mappable in principle but mmap refused (some filesystems do):
       // fall through to the sliding buffer.
     }
+  } else if (exists) {
+    // A named pipe (or any other non-file) cannot rewind: spool it like
+    // stdin, so the prescan + rewind contract holds.
+    const int fd = ::open(path.c_str(), O_RDONLY);
+    if (fd >= 0) {
+      const struct Closer {
+        int fd;
+        ~Closer() { ::close(fd); }
+      } closer{fd};
+      return spooled_byte_source(fd, path);
+    }
   }
+  // Also reports an input that cannot be opened at all.
   return std::make_unique<BufferedByteSource>(path);
 }
 

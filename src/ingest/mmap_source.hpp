@@ -168,13 +168,16 @@ class BufferedByteSource final : public ByteSource {
 /// The path "-" means standard input: the stream is spooled once into
 /// an unlinked temporary file (bounded by disk, not memory) and served
 /// through BufferedByteSource, so the two-pass sources' prescan +
-/// rewind contract holds even though a pipe cannot seek. Every pcap
-/// reader and source therefore accepts "-" transparently.
+/// rewind contract holds even though a pipe cannot seek. Any other
+/// input that is not a regular file (a named FIFO, a device) is spooled
+/// the same way. Every pcap reader and source therefore accepts "-"
+/// and FIFOs transparently.
 std::unique_ptr<ByteSource> open_byte_source(const std::string& path);
 
 /// Drains `fd` to EOF into an unlinked temp file and returns a
-/// rewindable BufferedByteSource over it — the "-" implementation,
-/// exposed so tests can feed a pipe directly. Throws std::runtime_error
+/// rewindable BufferedByteSource over it — the "-" and FIFO
+/// implementation, exposed so tests can feed a pipe directly. It does
+/// not close `fd`. Throws std::runtime_error
 /// when the spool file cannot be created or a read/write fails.
 std::unique_ptr<ByteSource> spooled_byte_source(int fd,
                                                 const std::string& name);

@@ -25,10 +25,11 @@
 //
 // Either way the returned PipelineResult is bit-identical to
 // analyze_columns over an eagerly-prescanned source (the `ingest`
-// tests pin both branches). wantraffic_analyze's serial pcap --stream
-// run is this function. This lives in src/ingest, not src/stream:
-// the speculation needs the concrete PcapColumnSource (its deferred
-// mode and ordering watermark), and ingest already layers above stream.
+// tests pin both branches). Every serial whole-stream pcap run of
+// wantraffic_analyze is this function. This lives in src/ingest, not
+// src/stream: the speculation needs the concrete PcapColumnSource (its
+// deferred mode and ordering watermark), and ingest already layers
+// above stream.
 #pragma once
 
 #include "src/ingest/sources.hpp"
@@ -39,9 +40,10 @@ namespace wan::ingest {
 /// Analyzes `source` (constructed with Prescan::kDeferred) in a single
 /// decode pass when the capture allows it, falling back to the
 /// two-pass analyze_columns path when it does not. Also accepts an
-/// eager source, which just delegates to analyze_columns. Throws
-/// std::invalid_argument ("series too short") exactly when the eager
-/// path would, though at end of stream rather than up front.
+/// eager source, which just delegates to analyze_columns. The single
+/// pass itself is serial; options.shards applies to the two-pass path
+/// only. Throws std::invalid_argument ("series too short") exactly when
+/// the eager path would, though at end of stream rather than up front.
 stream::PipelineResult analyze_pcap_onepass(
     PcapColumnSource& source, const stream::PipelineOptions& options = {});
 

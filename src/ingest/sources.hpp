@@ -4,7 +4,7 @@
 // memory.
 //
 // Sources are two-pass: the constructor prescans the file once to learn
-// the trace's time range (analyze_stream reads info() before any
+// the trace's time range (analyze_columns reads info() before any
 // records flow), then rewinds. The prescan's ledger is discarded on the
 // rewind — stats() reflects the emission pass only, so callers see each
 // defect counted exactly once. PcapColumnSource alone can defer the
@@ -24,7 +24,8 @@
 //
 // Every pcap source reads through MmapPcapReader, whose byte source is
 // picked from the input: a mapping for a regular file, the pread
-// BufferedByteSource otherwise (stdin is first spooled to a temp file).
+// BufferedByteSource otherwise (stdin and any other non-regular input,
+// such as a named FIFO, are first spooled to a temp file).
 #pragma once
 
 #include <cstdint>

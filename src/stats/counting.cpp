@@ -1,5 +1,7 @@
 #include "src/stats/counting.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <stdexcept>
 
@@ -105,7 +107,11 @@ void SpeculativeBinCounts::add(std::span<const double> times) {
     return;
   }
   const std::size_t need = static_cast<std::size_t>(hi_q) + 1;
-  if (need > counts_.size()) counts_.resize(need, 0.0);
+  if (need > size_) {
+    while (blocks_.size() * kBlockBins < need)
+      blocks_.push_back(std::make_unique<double[]>(kBlockBins));  // zeroed
+    size_ = need;
+  }
 
   // The two phases mirror BinCountsAccumulator::add(span) exactly —
   // same quotient, same clamp-then-truncate — so every event at or
@@ -114,7 +120,7 @@ void SpeculativeBinCounts::add(std::span<const double> times) {
   // never observed, because finish() returns nullopt.
   const double t0 = t0_;
   const double bin = bin_;
-  const double last = static_cast<double>(counts_.size() - 1);
+  const double last = static_cast<double>(size_ - 1);
   idx_scratch_.resize(times.size());
   std::int32_t* idx = idx_scratch_.data();
   int below = 0;
@@ -127,8 +133,11 @@ void SpeculativeBinCounts::add(std::span<const double> times) {
     idx[i] = static_cast<std::int32_t>(q);
   }
   if (below != 0) poisoned_ = true;
-  double* counts = counts_.data();
-  for (std::size_t i = 0; i < times.size(); ++i) counts[idx[i]] += 1.0;
+  constexpr unsigned kShift = std::countr_zero(kBlockBins);
+  for (std::size_t i = 0; i < times.size(); ++i) {
+    const auto k = static_cast<std::size_t>(idx[i]);
+    blocks_[k >> kShift][k & (kBlockBins - 1)] += 1.0;
+  }
 }
 
 std::optional<std::vector<double>> SpeculativeBinCounts::finish(double t1) {
@@ -141,9 +150,17 @@ std::optional<std::vector<double>> SpeculativeBinCounts::finish(double t1) {
   // accumulator. The caller feeds only events strictly below t1, so in
   // practice this is the floating-point grid edge — rare enough to
   // just redo exactly.
-  if (counts_.size() > final_len) return std::nullopt;
-  counts_.resize(final_len, 0.0);  // trailing empty bins
-  return std::move(counts_);
+  if (size_ > final_len) return std::nullopt;
+  std::vector<double> counts;
+  counts.reserve(final_len);
+  for (std::size_t b = 0; b < blocks_.size(); ++b) {
+    const double* block = blocks_[b].get();
+    counts.insert(counts.end(), block,
+                  block + std::min(kBlockBins, size_ - b * kBlockBins));
+    blocks_[b].reset();
+  }
+  counts.resize(final_len, 0.0);  // trailing empty bins
+  return counts;
 }
 
 std::vector<double> aggregate_mean(std::span<const double> x, std::size_t m) {

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
@@ -83,8 +84,16 @@ class BinCountsAccumulator {
 /// prove that (an event before t0, or a floating-point grid edge where
 /// the fixed accumulator would have dropped or clamped an event this
 /// one binned). nullopt means "redo the two-pass way", never "wrong".
+/// The grid grows in fixed blocks rather than by reallocating one
+/// vector, and finish() moves it into the exact-length result block by
+/// block, so at no point are two copies of the grid resident.
 class SpeculativeBinCounts {
  public:
+  /// 1 MiB blocks: large enough for the allocator to map each one on
+  /// its own, so a block released in finish() leaves the process
+  /// (smaller blocks land in the heap, which keeps them resident).
+  static constexpr std::size_t kBlockBins = std::size_t{1} << 17;
+
   /// Throws std::invalid_argument unless bin > 0 (t1 is not needed).
   SpeculativeBinCounts(double t0, double bin);
 
@@ -102,7 +111,8 @@ class SpeculativeBinCounts {
   double t0_ = 0.0;
   double bin_ = 1.0;
   bool poisoned_ = false;  ///< saw an event the fixed grid treats differently
-  std::vector<double> counts_;
+  std::size_t size_ = 0;   ///< grid length grown to so far
+  std::vector<std::unique_ptr<double[]>> blocks_;  ///< kBlockBins each
   std::vector<std::int32_t> idx_scratch_;
 };
 

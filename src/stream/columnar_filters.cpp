@@ -4,21 +4,55 @@
 
 namespace wan::stream {
 
-namespace {
-
 std::string filter_suffix(const std::optional<trace::Protocol>& protocol,
-                          bool orig_data) {
-  // The suffixes the batch filters would stack, in their stacking order.
+                          bool orig_data, bool no_outliers) {
   std::string s;
   if (protocol) {
     s += '/';
     s += trace::to_string(*protocol);
   }
   if (orig_data) s += "/orig-data";
+  if (no_outliers) s += "/no-outliers";
   return s;
 }
 
-}  // namespace
+const PacketColumns& filter_rows(const PacketColumns& in,
+                                 const std::optional<trace::Protocol>& protocol,
+                                 bool orig_data,
+                                 std::vector<std::uint32_t>& sel,
+                                 PacketColumns& out) {
+  if (!protocol && !orig_data) return in;
+  sel.clear();
+  if (protocol && orig_data) {
+    select_protocol_orig_data(in, *protocol, sel);
+  } else if (protocol) {
+    select_equal(in.protocol, *protocol, sel);
+  } else {
+    select_orig_data(in, sel);
+  }
+  if (sel.size() == in.size()) return in;
+  gather(in, sel, out);
+  return out;
+}
+
+const PacketColumns& drop_outlier_rows(const PacketColumns& in,
+                                       const std::set<std::uint32_t>& outliers,
+                                       std::vector<std::uint32_t>& sel,
+                                       PacketColumns& out) {
+  if (outliers.empty()) return in;
+  sel.clear();
+  sel.resize(in.size());
+  std::size_t k = 0;
+  const std::uint32_t* conn = in.conn_id.data();
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    sel[k] = static_cast<std::uint32_t>(i);
+    k += outliers.contains(conn[i]) ? 0 : 1;
+  }
+  sel.resize(k);
+  if (sel.size() == in.size()) return in;
+  gather(in, sel, out);
+  return out;
+}
 
 ColumnFilterSource::ColumnFilterSource(PacketColumnSource& inner,
                                        std::optional<trace::Protocol> protocol,
@@ -33,26 +67,12 @@ bool ColumnFilterSource::next(PacketColumns& chunk) {
   chunk.clear();
   while (chunk.empty()) {
     if (!inner_->next(buf_)) return false;
-    sel_.clear();
-    if (protocol_ && orig_data_) {
-      select_protocol_orig_data(buf_, *protocol_, sel_);
-    } else if (protocol_) {
-      select_equal(buf_.protocol, *protocol_, sel_);
-    } else if (orig_data_) {
-      select_orig_data(buf_, sel_);
-    } else {
-      // No predicate configured: pass through.
-      chunk = std::move(buf_);
-      buf_.clear();
-      return true;
-    }
-    if (sel_.size() == buf_.size()) {
+    if (&filter_rows(buf_, protocol_, orig_data_, sel_, chunk) == &buf_) {
       // Everything survived: move the chunk through instead of gathering.
       chunk = std::move(buf_);
       buf_.clear();
       return true;
     }
-    gather(buf_, sel_, chunk);
   }
   return true;
 }
@@ -70,8 +90,8 @@ ColumnBulkOutlierSource::ColumnBulkOutlierSource(PacketColumnSource& inner,
                                                  double max_bytes,
                                                  double max_rate)
     : inner_(&inner),
-      info_{inner.info().name + "/no-outliers", inner.info().t_begin,
-            inner.info().t_end},
+      info_{inner.info().name + filter_suffix(std::nullopt, false, true),
+            inner.info().t_begin, inner.info().t_end},
       max_bytes_(max_bytes),
       max_rate_(max_rate) {}
 
@@ -92,26 +112,11 @@ bool ColumnBulkOutlierSource::next(PacketColumns& chunk) {
   chunk.clear();
   while (chunk.empty()) {
     if (!inner_->next(buf_)) return false;
-    if (outliers_.empty()) {
+    if (&drop_outlier_rows(buf_, outliers_, sel_, chunk) == &buf_) {
       chunk = std::move(buf_);
       buf_.clear();
       return true;
     }
-    sel_.clear();
-    sel_.resize(buf_.size());
-    std::size_t k = 0;
-    const std::uint32_t* conn = buf_.conn_id.data();
-    for (std::size_t i = 0; i < buf_.size(); ++i) {
-      sel_[k] = static_cast<std::uint32_t>(i);
-      k += outliers_.contains(conn[i]) ? 0 : 1;
-    }
-    sel_.resize(k);
-    if (sel_.size() == buf_.size()) {
-      chunk = std::move(buf_);
-      buf_.clear();
-      return true;
-    }
-    gather(buf_, sel_, chunk);
   }
   return true;
 }

@@ -2,9 +2,13 @@
 
 #include <cmath>
 #include <cstdio>
+#include <set>
 #include <stdexcept>
+#include <utility>
 
-#include "src/stream/columnar_filters.hpp"
+#include "src/par/parallel.hpp"
+#include "src/stream/shard.hpp"
+#include "src/trace/packet_trace.hpp"
 
 namespace wan::stream {
 
@@ -22,49 +26,171 @@ std::size_t expected_bins(const StreamInfo& info, double bin) {
       std::ceil((info.t_end - info.t_begin) / bin));
 }
 
+void require_series(const StreamInfo& info, double bin) {
+  if (expected_bins(info, bin) < 16)
+    throw std::invalid_argument("analyze_stream: series too short");
+}
+
+// One bin grid per shard over the serial time range. Bin increments are
+// exact integer adds into identical grids, so the shard-ordered merge in
+// finish() reproduces the serial accumulator's bits however the rows
+// were split — and with one shard it is the serial accumulator.
+class ShardCounts {
+ public:
+  ShardCounts(const StreamInfo& info, double bin, std::size_t n_shards)
+      : info_(info), bin_(bin), packets_(n_shards, 0) {
+    bins_.reserve(n_shards);
+    for (std::size_t s = 0; s < n_shards; ++s)
+      bins_.emplace_back(info.t_begin, info.t_end, bin);
+  }
+
+  void add(std::size_t shard, const PacketColumns& chunk) {
+    packets_[shard] += chunk.size();
+    bins_[shard].add(std::span<const double>(chunk.time));
+  }
+
+  void drain(std::size_t shard, PacketColumnSource& source) {
+    PacketColumns chunk;
+    while (source.next(chunk)) add(shard, chunk);
+  }
+
+  PipelineResult finish() {
+    for (std::size_t s = 1; s < bins_.size(); ++s) {
+      bins_[0].merge(bins_[s]);
+      packets_[0] += packets_[s];
+    }
+    return finish_counts(info_, bin_, packets_[0], bins_[0].take());
+  }
+
+ private:
+  StreamInfo info_;
+  double bin_;
+  std::vector<stats::BinCountsAccumulator> bins_;
+  std::vector<std::uint64_t> packets_;
+};
+
+// Consumer-local scratch; index s is touched only by shard s's consumer.
+struct ShardScratch {
+  std::vector<std::uint32_t> sel;
+  PacketColumns filtered;
+  PacketColumns kept;
+};
+
+// analyze_columns with options.shards > 1: the filter kernels run on
+// each routed sub-chunk instead of as a source stack over the stream.
+PipelineResult analyze_routed(PacketColumnSource& source,
+                              const PipelineOptions& options) {
+  ShardRouter router({options.shards});
+  const std::size_t n = router.n_shards();
+
+  StreamInfo info = source.info();
+  info.name += filter_suffix(options.protocol, options.orig_data_only,
+                             options.remove_outliers);
+  require_series(info, options.bin);
+
+  std::vector<ShardScratch> scratch(n);
+  const auto filtered = [&](std::size_t s, const PacketColumns& chunk)
+      -> const PacketColumns& {
+    return filter_rows(chunk, options.protocol, options.orig_data_only,
+                       scratch[s].sel, scratch[s].filtered);
+  };
+
+  // Pass 1 (outlier filter only): per-shard detectors over the filtered
+  // sub-streams. A connection's rows all land in its shard, in stream
+  // order, so the union of the per-shard outlier sets equals the serial
+  // detector's set exactly.
+  std::vector<std::set<std::uint32_t>> outliers(n);
+  if (options.remove_outliers) {
+    std::vector<trace::BulkOutlierDetector> detectors;
+    detectors.reserve(n);
+    for (std::size_t s = 0; s < n; ++s)
+      detectors.emplace_back(options.outlier_max_bytes,
+                             options.outlier_max_rate);
+    router.route(source, [&](std::size_t s, const PacketColumns& chunk) {
+      const PacketColumns& f = filtered(s, chunk);
+      for (std::size_t i = 0; i < f.size(); ++i) detectors[s].observe(f.row(i));
+    });
+    for (std::size_t s = 0; s < n; ++s) outliers[s] = detectors[s].outliers();
+    source.reset();
+  }
+
+  // Pass 2: per-shard bin-count accumulation.
+  ShardCounts counts(info, options.bin, n);
+  router.route(source, [&](std::size_t s, const PacketColumns& chunk) {
+    counts.add(s, drop_outlier_rows(filtered(s, chunk), outliers[s],
+                                    scratch[s].sel, scratch[s].kept));
+  });
+  return counts.finish();
+}
+
 }  // namespace
 
-PipelineResult analyze_stream(PacketChunkSource& source,
-                              const PipelineOptions& options) {
-  ColumnsFromRows columns(source);
-  return analyze_columns(columns, options);
+FilterStack::FilterStack(PacketColumnSource& source,
+                         const PipelineOptions& options)
+    : top_(&source) {
+  if (options.protocol || options.orig_data_only) {
+    filter_.emplace(*top_, options.protocol, options.orig_data_only);
+    top_ = &*filter_;
+  }
+  if (options.remove_outliers) {
+    no_outliers_.emplace(*top_, options.outlier_max_bytes,
+                         options.outlier_max_rate);
+    top_ = &*no_outliers_;
+  }
 }
 
 PipelineResult analyze_columns(PacketColumnSource& source,
                                const PipelineOptions& options) {
-  // Filter stages live on this frame. The protocol and originator-data
-  // predicates fuse into one ColumnFilterSource (same record sequence
-  // and derived name as stacking them; one selection pass + one gather).
-  PacketColumnSource* src = &source;
-  std::optional<ColumnFilterSource> filter;
-  if (options.protocol || options.orig_data_only) {
-    filter.emplace(*src, options.protocol, options.orig_data_only);
-    src = &*filter;
-  }
-  std::optional<ColumnBulkOutlierSource> no_outliers;
-  if (options.remove_outliers) {
-    no_outliers.emplace(*src, options.outlier_max_bytes,
-                        options.outlier_max_rate);
-    src = &*no_outliers;
-  }
+  if (options.shards > 1) return analyze_routed(source, options);
+  FilterStack filters(source, options);
+  const StreamInfo info = filters.top().info();
+  require_series(info, options.bin);
+  ShardCounts counts(info, options.bin, 1);
+  counts.drain(0, filters.top());
+  return counts.finish();
+}
 
-  const StreamInfo info = src->info();
-  if (expected_bins(info, options.bin) < 16)
-    throw std::invalid_argument("analyze_stream: series too short");
+PipelineResult analyze_sharded_sources(
+    const std::function<std::unique_ptr<PacketChunkSource>(std::size_t)>&
+        make_shard,
+    std::size_t n_shards, const PipelineOptions& options) {
+  if (n_shards == 0 || n_shards > ShardRouter::kMaxShards)
+    throw std::invalid_argument(
+        "analyze_sharded_sources: n_shards must be in [1, " +
+        std::to_string(ShardRouter::kMaxShards) + "]");
 
-  stats::BinCountsAccumulator bins(info.t_begin, info.t_end, options.bin);
-  std::uint64_t packets = 0;
-  PacketColumns chunk;
-  while (src->next(chunk)) {
-    packets += chunk.size();
-    bins.add(std::span<const double>(chunk.time));
-  }
+  // Shard 0's info IS the serial info (the factory contract), so the
+  // bin grid and the derived name are fixed before any shard runs.
+  auto first = make_shard(0);
+  StreamInfo info = first->info();
+  info.name += filter_suffix(options.protocol, options.orig_data_only,
+                             options.remove_outliers);
+  require_series(info, options.bin);
 
+  // Each shard is fully independent — its own source, its own filter
+  // stack (including the outlier two-pass: the stack resets only this
+  // shard's source) — so a flat parallel_for over shards is enough.
+  // Grain 1: shards are the unit of work.
+  ShardCounts counts(info, options.bin, n_shards);
+  par::parallel_for(0, n_shards, 1, [&](std::size_t b, std::size_t e) {
+    for (std::size_t s = b; s < e; ++s) {
+      auto source = s == 0 ? std::move(first) : make_shard(s);
+      ColumnsFromRows columns(*source);
+      FilterStack filters(columns, options);
+      counts.drain(s, filters.top());
+    }
+  });
+  return counts.finish();
+}
+
+PipelineResult finish_counts(StreamInfo info, double bin,
+                             std::uint64_t packets,
+                             std::vector<double> counts) {
   PipelineResult result;
-  result.info = info;
-  result.bin = options.bin;
+  result.info = std::move(info);
+  result.bin = bin;
   result.packets = packets;
-  result.counts = bins.take();
+  result.counts = std::move(counts);
   stats::VtAccumulator vt(
       stats::default_aggregation_levels(result.counts.size()));
   stats::BurstLullAccumulator bl;

@@ -2,15 +2,18 @@
 // filters → binned counts → variance-time / moments / burst-lull, all
 // single-pass (the outlier filter's second pass excepted).
 //
-// analyze_stream and analyze_batch are the two implementations of the
-// same analysis — the streamed one in bounded memory, the batch one on
-// an in-memory PacketTrace via the span-based statistics. Both feed the
-// identical accumulator arithmetic (VtLevelAccumulator, BinCounts,
-// BurstLull), so their results — and the figure CSVs rendered from them
-// — are byte-identical. The `stream`-labeled tests pin this.
+// analyze_columns is the one whole-stream analysis: serial, or fanned
+// across flow-hash shards when options.shards > 1 (shard.hpp routes the
+// chunks). analyze_batch is the independent reference on an in-memory
+// PacketTrace via the span-based statistics. Both feed the identical
+// accumulator arithmetic (VtLevelAccumulator, BinCounts, BurstLull), so
+// their results — and the figure CSVs rendered from them — are
+// byte-identical. The `stream`-labeled tests pin this.
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -20,6 +23,7 @@
 #include "src/stats/variance_time.hpp"
 #include "src/stream/chunk.hpp"
 #include "src/stream/columnar.hpp"
+#include "src/stream/columnar_filters.hpp"
 
 namespace wan::stream {
 
@@ -33,7 +37,9 @@ struct PipelineOptions {
   double outlier_max_bytes = 1024.0;
   double outlier_max_rate = 8.0;
 
-  std::size_t chunk_size = kDefaultChunkSize;
+  /// Flow-hash shards the analysis fans across (1 = serial). Any count
+  /// gives the same bytes; see analyze_columns.
+  std::size_t shards = 1;
 };
 
 struct PipelineResult {
@@ -46,18 +52,62 @@ struct PipelineResult {
   stats::MomentAccumulator count_moments;
 };
 
-/// Row-source convenience: the source is adapted through
-/// ColumnsFromRows and analyzed by analyze_columns.
-PipelineResult analyze_stream(PacketChunkSource& source,
-                              const PipelineOptions& options = {});
+/// The filter stack every whole-stream analysis drains: the protocol
+/// and originator-data predicates fused into one ColumnFilterSource
+/// (same record sequence and derived name as stacking them), then the
+/// bulk-outlier two-pass, each only when configured. top() is the
+/// source itself when no filter is set. The stages point at each
+/// other, so the stack stays where it is built.
+class FilterStack {
+ public:
+  FilterStack(PacketColumnSource& source, const PipelineOptions& options);
+  FilterStack(const FilterStack&) = delete;
+  FilterStack& operator=(const FilterStack&) = delete;
+
+  PacketColumnSource& top() { return *top_; }
+
+ private:
+  PacketColumnSource* top_;
+  std::optional<ColumnFilterSource> filter_;
+  std::optional<ColumnBulkOutlierSource> no_outliers_;
+};
 
 /// Streams the source through the configured filters and accumulators.
 /// Filters are selection-vector passes (columnar_filters.hpp) and the
 /// accumulators consume whole columns (BinCountsAccumulator::add(span)
-/// etc.). Throws std::invalid_argument if the count series would be
-/// shorter than 16 bins (same limit as variance_time_plot).
+/// etc.). With options.shards > 1 a ShardRouter partitions the stream
+/// by flow hash: each shard's consumer filters and bins its sub-stream
+/// (the outlier scan is per shard too — outlier decisions are per
+/// connection, and a connection is shard-local), and the bin grids
+/// merge in shard order. The result is byte-identical at
+/// every (shard count, thread count). Throws std::invalid_argument if
+/// the count series would be shorter than 16 bins (same limit as
+/// variance_time_plot). With remove_outliers the source is drained
+/// twice (reset() between passes).
 PipelineResult analyze_columns(PacketColumnSource& source,
                                const PipelineOptions& options = {});
+
+/// Per-shard-source form: shard s pulls from its own source instead of
+/// routing one shared stream through queues — the shape per-shard
+/// synthesis wants, where each shard regenerates exactly its own
+/// connections. make_shard(s) must return a source whose records are
+/// exactly the serial stream's records with shard_of(conn_id, n_shards)
+/// == s (per connection, in time order), and whose info matches the
+/// serial source's — which StreamingPacketSynthesizer's SynthShard
+/// guarantees. make_shard may be called concurrently from pool
+/// threads. Shards run concurrently via par::parallel_for, each with
+/// its own filter stack; merged output is byte-identical to the serial
+/// analysis. options.shards is ignored: n_shards rules.
+PipelineResult analyze_sharded_sources(
+    const std::function<std::unique_ptr<PacketChunkSource>(std::size_t)>&
+        make_shard,
+    std::size_t n_shards, const PipelineOptions& options);
+
+/// The finish every whole-stream analysis shares: variance-time,
+/// burst-lull and moments over the binned count series.
+PipelineResult finish_counts(StreamInfo info, double bin,
+                             std::uint64_t packets,
+                             std::vector<double> counts);
 
 /// The batch reference: same analysis via PacketTrace filters and the
 /// span-based statistics.

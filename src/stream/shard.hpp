@@ -15,26 +15,23 @@
 // ShardRouter moves the chunks: one pump (the calling thread) drains
 // the upstream source, splits each chunk into per-shard sub-chunks with
 // the selection/gather kernels, and pushes them onto one bounded queue
-// per shard; per-shard consumers run on the src/par pool and drain
-// their queue in order. The queues bound memory (backpressure: the pump
-// blocks while a queue is full, so the generator runs ahead by at most
-// queue_chunks chunks per shard) and serialize each shard's sub-chunks
-// in upstream order. At par::thread_count() == 1 the router runs the
-// identical partition inline, invoking consumers synchronously in shard
-// order — no queues, no threads, same per-shard chunk sequences.
+// per shard; one consumer thread per shard drains its queue in order.
+// The queues bound memory (backpressure: the pump blocks while a queue
+// is full, so the generator runs ahead by at most queue_chunks chunks
+// per shard) and serialize each shard's sub-chunks in upstream order.
+// At par::thread_count() == 1 the router runs the identical partition
+// inline, invoking consumers synchronously in shard order — no queues,
+// no threads, same per-shard chunk sequences.
 #pragma once
 
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
+#include <vector>
 
-#include "src/stream/chunk.hpp"
 #include "src/stream/columnar.hpp"
-#include "src/stream/conn_chunk.hpp"
-#include "src/stream/pipeline.hpp"
 
 namespace wan::stream {
 
@@ -73,10 +70,6 @@ inline std::size_t shard_of_hosts(std::uint32_t a, std::uint32_t b,
 /// order. out.size() must equal n_shards.
 void partition_packets(const PacketColumns& in, std::size_t n_shards,
                        std::vector<PacketColumns>& out);
-
-/// Conn twin of partition_packets, keyed by shard_of_hosts.
-void partition_conns(const ConnColumns& in, std::size_t n_shards,
-                     std::vector<ConnColumns>& out);
 
 /// Bounded MPSC chunk queue: push blocks while full (backpressure on
 /// the producer), pop blocks while empty and returns false once the
@@ -151,62 +144,10 @@ class ShardRouter {
              const std::function<void(std::size_t, const PacketColumns&)>&
                  consume);
 
-  /// Conn twin, routing rows by shard_of_hosts(src_host, dst_host).
-  void route(ConnColumnSource& source,
-             const std::function<void(std::size_t, const ConnColumns&)>&
-                 consume);
-
-  /// Row-source conveniences: adapt through ColumnsFromRows (same rows,
-  /// same order) and route the columnar stream.
-  void route(PacketChunkSource& source,
-             const std::function<void(std::size_t, const PacketColumns&)>&
-                 consume);
-  void route(ConnChunkSource& source,
-             const std::function<void(std::size_t, const ConnColumns&)>&
-                 consume);
-
   static constexpr std::size_t kMaxShards = 1024;
 
  private:
   ShardRouterOptions options_;
 };
-
-/// Sharded twin of analyze_columns: partitions the stream across
-/// n_shards, accumulates bin counts (and, when options.remove_outliers
-/// is set, runs the two-pass bulk-outlier scan per shard — outlier
-/// decisions are per-connection, and a connection is shard-local),
-/// merges shard state in shard order, and finishes the variance-time /
-/// burst-lull / moment analyses on the merged count series. The result
-/// is byte-identical to analyze_columns(source, options) at every
-/// (shard count, thread count): bin-count merge is exact, and
-/// everything downstream of the merged counts is the serial code.
-///
-/// With remove_outliers the source is drained twice (reset() between
-/// passes), exactly like ColumnBulkOutlierSource.
-PipelineResult analyze_sharded(PacketColumnSource& source,
-                               const PipelineOptions& options,
-                               ShardRouterOptions shard_options);
-
-/// Row-source convenience, like analyze_stream vs analyze_columns.
-PipelineResult analyze_stream_sharded(PacketChunkSource& source,
-                                      const PipelineOptions& options,
-                                      ShardRouterOptions shard_options);
-
-/// Per-shard-source form: shard s pulls from its own source instead of
-/// routing one shared stream through queues — the shape per-shard
-/// synthesis wants, where each shard regenerates exactly its own
-/// connections. make_shard(s) must return a source whose records are
-/// exactly the serial stream's records with shard_of(conn_id, n_shards)
-/// == s (per connection, in time order), and whose info matches the
-/// serial source's — which StreamingPacketSynthesizer's SynthShard
-/// guarantees. make_shard may be called concurrently from pool
-/// threads. Shards run concurrently via par::parallel_for (each
-/// doing its own outlier two-pass locally — outlier decisions are
-/// per-connection, hence shard-local); merged output is byte-identical
-/// to the serial analysis, same argument as analyze_sharded.
-PipelineResult analyze_sharded_sources(
-    const std::function<std::unique_ptr<PacketChunkSource>(std::size_t)>&
-        make_shard,
-    std::size_t n_shards, const PipelineOptions& options);
 
 }  // namespace wan::stream

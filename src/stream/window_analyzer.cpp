@@ -6,7 +6,7 @@
 #include <stdexcept>
 
 #include "src/stats/counting.hpp"
-#include "src/stream/columnar_filters.hpp"
+#include "src/stream/pipeline.hpp"
 
 namespace wan::stream {
 
@@ -238,12 +238,9 @@ void WindowedAnalyzer::emit_report() {
 
 std::vector<WindowReport> analyze_windowed(PacketColumnSource& source,
                                            const WindowedOptions& options) {
-  PacketColumnSource* src = &source;
-  std::optional<ColumnFilterSource> filter;
-  if (options.protocol || options.orig_data_only) {
-    filter.emplace(*src, options.protocol, options.orig_data_only);
-    src = &*filter;
-  }
+  FilterStack filters(source, {.protocol = options.protocol,
+                               .orig_data_only = options.orig_data_only});
+  PacketColumnSource* src = &filters.top();
 
   const StreamInfo info = src->info();
   const WindowGeometry geometry = window_geometry(options);
@@ -270,12 +267,6 @@ std::vector<WindowReport> analyze_windowed(PacketColumnSource& source,
     engine.push_times(std::span<const double>(chunk.time));
   engine.finish(info.t_end);
   return reports;
-}
-
-std::vector<WindowReport> analyze_windowed(PacketChunkSource& source,
-                                           const WindowedOptions& options) {
-  ColumnsFromRows columns(source);
-  return analyze_windowed(columns, options);
 }
 
 WindowReport analyze_window_counts(std::span<const double> counts, double t0,

@@ -164,11 +164,6 @@ class WindowedAnalyzer {
 std::vector<WindowReport> analyze_windowed(PacketColumnSource& source,
                                            const WindowedOptions& options);
 
-/// Row-source convenience: adapts through ColumnsFromRows — the
-/// windowed path is columnar-only, like the sharded one.
-std::vector<WindowReport> analyze_windowed(PacketChunkSource& source,
-                                           const WindowedOptions& options);
-
 /// From-scratch reference for ONE window: `times` are the post-filter
 /// events in [t0, t0 + window), in time order. Bins, then runs the
 /// batch estimators (AveragedPeriodogram segment loop, cold Whittle,

@@ -358,10 +358,10 @@ TEST(ColumnarPipeline, FilteredAnalysisByteIdenticalToBatch) {
   opt.protocol = trace::Protocol::kTelnet;
   opt.orig_data_only = true;
   opt.remove_outliers = true;
-  opt.chunk_size = 2048;
 
-  synth::StreamingPacketSynthesizer src(cfg, opt.chunk_size);
-  const stream::PipelineResult columnar = stream::analyze_stream(src, opt);
+  synth::StreamingPacketSynthesizer src(cfg, /*chunk_size=*/2048);
+  stream::ColumnsFromRows columns(src);
+  const stream::PipelineResult columnar = stream::analyze_columns(columns, opt);
   const stream::PipelineResult batch = stream::analyze_batch(batch_trace, opt);
 
   EXPECT_EQ(stream::vt_csv(columnar), stream::vt_csv(batch));
@@ -377,7 +377,8 @@ TEST(ColumnarPipeline, UnfilteredAnalysisByteIdenticalToBatch) {
   opt.bin = 0.5;
 
   synth::StreamingPacketSynthesizer src(cfg);
-  const stream::PipelineResult columnar = stream::analyze_stream(src, opt);
+  stream::ColumnsFromRows columns(src);
+  const stream::PipelineResult columnar = stream::analyze_columns(columns, opt);
   const stream::PipelineResult batch = stream::analyze_batch(batch_trace, opt);
 
   EXPECT_EQ(stream::vt_csv(columnar), stream::vt_csv(batch));

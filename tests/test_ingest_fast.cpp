@@ -6,7 +6,9 @@
 // committed fixtures and on synthetic eviction/reincarnation
 // scenarios. The fast path is only allowed to be faster — never
 // different.
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -17,6 +19,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -575,6 +578,26 @@ TEST(OnepassAnalysis, MatchesEagerTwoPassWithFullFilterStack) {
   expect_same_result(one_pass, two_pass);
 }
 
+TEST(OnepassAnalysis, GridSpanningSeveralGrowthBlocksMatchesEager) {
+  // A bin width that puts 3.5 growth blocks of bins over the fixture's
+  // span: the block-by-block assembly in finish() must reproduce the
+  // fixed grid bit for bit, trailing partial block included.
+  constexpr std::size_t kBlock = stats::SpeculativeBinCounts::kBlockBins;
+  ingest::PcapColumnSource eager(fixture("tiny_le.pcap"), ParseMode::kStrict);
+  stream::PipelineOptions opt;
+  opt.bin = (eager.info().t_end - eager.info().t_begin) / (3.5 * kBlock);
+  const auto two_pass = stream::analyze_columns(eager, opt);
+  ASSERT_GT(two_pass.counts.size(), 3 * kBlock);
+
+  ingest::PcapColumnSource deferred(
+      fixture("tiny_le.pcap"), ParseMode::kStrict, {},
+      stream::kDefaultChunkSize, ingest::Prescan::kDeferred);
+  const auto one_pass = ingest::analyze_pcap_onepass(deferred, opt);
+
+  EXPECT_TRUE(deferred.info_deferred());
+  expect_same_result(one_pass, two_pass);
+}
+
 TEST(OnepassAnalysis, FallsBackOnOutOfOrderCapture) {
   stream::PipelineOptions opt;
   ingest::PcapColumnSource eager(fixture("tiny_ooo.pcap"),
@@ -717,6 +740,47 @@ TEST(StdinInput, DashStreamsAPipedPcapThroughTheColumnFactory) {
   EXPECT_EQ(ca.from_originator, cb.from_originator);
   EXPECT_EQ(ca.payload_bytes, cb.payload_bytes);
   expect_same_stats(piped->stats(), file->stats());
+}
+
+TEST(FifoInput, EagerSourceDecodesANamedFifoLikeTheFile) {
+  const std::string fifo = ::testing::TempDir() + "wantraffic_fifo_" +
+                           std::to_string(::getpid());
+  ::unlink(fifo.c_str());
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+  const auto bytes = slurp(fixture("tiny_le.pcap"));
+  // The writer's open() blocks until the source opens the read end.
+  std::thread writer([&] {
+    const int fd = ::open(fifo.c_str(), O_WRONLY);
+    ASSERT_GE(fd, 0);
+    EXPECT_EQ(::write(fd, bytes.data(), bytes.size()),
+              static_cast<ssize_t>(bytes.size()));
+    ::close(fd);
+  });
+  // The eager constructor prescans, then rewinds: a FIFO survives that
+  // only because open_byte_source spools it.
+  std::unique_ptr<ingest::PcapColumnSource> piped;
+  try {
+    piped = std::make_unique<ingest::PcapColumnSource>(fifo,
+                                                       ParseMode::kStrict);
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << e.what();
+  }
+  writer.join();
+  ::unlink(fifo.c_str());
+  ASSERT_NE(piped, nullptr);
+
+  ingest::PcapColumnSource file(fixture("tiny_le.pcap"), ParseMode::kStrict);
+  EXPECT_EQ(piped->info().t_begin, file.info().t_begin);
+  EXPECT_EQ(piped->info().t_end, file.info().t_end);
+  const auto ca = stream::collect_columns(*piped);
+  const auto cb = stream::collect_columns(file);
+  ASSERT_EQ(ca.size(), cb.size());
+  EXPECT_EQ(ca.time, cb.time);
+  EXPECT_EQ(ca.protocol, cb.protocol);
+  EXPECT_EQ(ca.conn_id, cb.conn_id);
+  EXPECT_EQ(ca.from_originator, cb.from_originator);
+  EXPECT_EQ(ca.payload_bytes, cb.payload_bytes);
+  expect_same_stats(piped->stats(), file.stats());
 }
 
 TEST(StdinInput, RejectsConfigurationsThatNeedANamedFile) {

@@ -328,9 +328,10 @@ TEST(ShardRouter, RoutedSubStreamsPreserveOrderAtAnyThreadCount) {
   for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     par::set_thread_count(threads);
     synth::StreamingPacketSynthesizer synth(cfg);
+    stream::ColumnsFromRows columns(synth);
     stream::ShardRouter router({/*n_shards=*/4, /*queue_chunks=*/2});
     std::vector<std::vector<double>> times(4);
-    router.route(static_cast<stream::PacketChunkSource&>(synth),
+    router.route(columns,
                  [&](std::size_t s, const stream::PacketColumns& chunk) {
                    times[s].insert(times[s].end(), chunk.time.begin(),
                                    chunk.time.end());
@@ -348,6 +349,14 @@ TEST(ShardRouter, RoutedSubStreamsPreserveOrderAtAnyThreadCount) {
   par::set_thread_count(1);
 }
 
+// Whole-stream analysis of a row source (serial or sharded, per
+// opt.shards) through the columnar adapter.
+stream::PipelineResult analyze_rows(stream::PacketChunkSource& rows,
+                                      const stream::PipelineOptions& opt) {
+  stream::ColumnsFromRows columns(rows);
+  return stream::analyze_columns(columns, opt);
+}
+
 // The tentpole invariant: sharded == serial, byte for byte, at shard
 // counts 1/4/7 and thread counts 1/4.
 TEST(ShardPipeline, SynthesizedRoutedShardingIsByteIdenticalToSerial) {
@@ -356,7 +365,7 @@ TEST(ShardPipeline, SynthesizedRoutedShardingIsByteIdenticalToSerial) {
   opt.bin = 0.5;
 
   synth::StreamingPacketSynthesizer serial_src(cfg);
-  const stream::PipelineResult serial = stream::analyze_stream(serial_src, opt);
+  const stream::PipelineResult serial = analyze_rows(serial_src, opt);
   const std::string want = stream::vt_csv(serial);
   ASSERT_GT(serial.packets, 0u);
 
@@ -364,8 +373,8 @@ TEST(ShardPipeline, SynthesizedRoutedShardingIsByteIdenticalToSerial) {
     for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
       par::set_thread_count(threads);
       synth::StreamingPacketSynthesizer src(cfg);
-      const stream::PipelineResult sharded =
-          stream::analyze_stream_sharded(src, opt, {shards, 2});
+      opt.shards = shards;
+      const stream::PipelineResult sharded = analyze_rows(src, opt);
       EXPECT_EQ(sharded.packets, serial.packets)
           << shards << " shards, " << threads << " threads";
       EXPECT_EQ(sharded.counts, serial.counts);
@@ -380,30 +389,46 @@ TEST(ShardPipeline, SynthesizedRoutedShardingIsByteIdenticalToSerial) {
   par::set_thread_count(1);
 }
 
-// Same invariant with the full filter chain (protocol + orig-data +
-// outlier removal), which exercises the sharded two-pass outlier scan.
+// Same invariant under every combination of the filter stack
+// (protocol × orig-data × outlier removal): the sharded consumers run
+// the filter sources' own kernels and name suffixes, and the outlier
+// case exercises the sharded two-pass scan. The stream is synthesized
+// once and replayed from a column table.
 TEST(ShardPipeline, FilteredShardingIsByteIdenticalToSerial) {
-  const auto cfg = shard_test_config();
-  stream::PipelineOptions opt;
-  opt.bin = 0.5;
-  opt.protocol = trace::Protocol::kFtpData;
-  opt.remove_outliers = true;
+  synth::StreamingPacketSynthesizer synth(shard_test_config());
+  stream::ColumnsFromRows columns(synth);
+  const stream::StreamInfo info = columns.info();
+  const stream::PacketColumns table = stream::collect_columns(columns);
 
-  synth::StreamingPacketSynthesizer serial_src(cfg);
-  const stream::PipelineResult serial = stream::analyze_stream(serial_src, opt);
-  const std::string want = stream::vt_csv(serial);
-  ASSERT_GT(serial.packets, 0u);
+  for (int combo = 0; combo < 8; ++combo) {
+    stream::PipelineOptions opt;
+    opt.bin = 0.5;
+    if (combo & 1) opt.protocol = trace::Protocol::kFtpData;
+    opt.orig_data_only = (combo & 2) != 0;
+    opt.remove_outliers = (combo & 4) != 0;
 
-  for (std::size_t shards : {std::size_t{4}, std::size_t{7}}) {
-    for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-      par::set_thread_count(threads);
-      synth::StreamingPacketSynthesizer src(cfg);
-      const stream::PipelineResult sharded =
-          stream::analyze_stream_sharded(src, opt, {shards, 2});
-      EXPECT_EQ(sharded.packets, serial.packets);
-      EXPECT_EQ(sharded.counts, serial.counts);
-      EXPECT_EQ(sharded.info.name, serial.info.name);
-      EXPECT_EQ(stream::vt_csv(sharded), want);
+    stream::ColumnTableSource serial_src(table, info);
+    const stream::PipelineResult serial =
+        stream::analyze_columns(serial_src, opt);
+    const std::string want = stream::vt_csv(serial);
+    ASSERT_GT(serial.packets, 0u) << "combo " << combo;
+
+    for (std::size_t shards : {std::size_t{2}, std::size_t{5}}) {
+      for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+        SCOPED_TRACE("combo " + std::to_string(combo) + ", " +
+                     std::to_string(shards) + " shards, " +
+                     std::to_string(threads) + " threads");
+        par::set_thread_count(threads);
+        stream::ColumnTableSource src(table, info);
+        stream::PipelineOptions sharded_opt = opt;
+        sharded_opt.shards = shards;
+        const stream::PipelineResult sharded =
+            stream::analyze_columns(src, sharded_opt);
+        EXPECT_EQ(sharded.packets, serial.packets);
+        EXPECT_EQ(sharded.counts, serial.counts);
+        EXPECT_EQ(sharded.info.name, serial.info.name);
+        EXPECT_EQ(stream::vt_csv(sharded), want);
+      }
     }
   }
   par::set_thread_count(1);
@@ -417,7 +442,7 @@ TEST(ShardPipeline, PerShardSynthesisIsByteIdenticalToSerial) {
   opt.bin = 0.5;
 
   synth::StreamingPacketSynthesizer serial_src(cfg);
-  const stream::PipelineResult serial = stream::analyze_stream(serial_src, opt);
+  const stream::PipelineResult serial = analyze_rows(serial_src, opt);
   const std::string want = stream::vt_csv(serial);
 
   for (std::size_t shards : {std::size_t{1}, std::size_t{4}, std::size_t{7}}) {
@@ -470,19 +495,63 @@ TEST(ShardPipeline, IngestedPcapShardingIsByteIdenticalToSerial) {
 
   ingest::MmapPcapPacketSource serial_src(fixture("tiny_le.pcap"),
                                           ingest::ParseMode::kStrict);
-  const stream::PipelineResult serial = stream::analyze_stream(serial_src, opt);
+  const stream::PipelineResult serial = analyze_rows(serial_src, opt);
   const std::string want = stream::vt_csv(serial);
   ASSERT_GT(serial.packets, 0u);
 
   for (std::size_t shards : {std::size_t{4}, std::size_t{7}}) {
     ingest::MmapPcapPacketSource src(fixture("tiny_le.pcap"),
                                      ingest::ParseMode::kStrict);
-    const stream::PipelineResult sharded =
-        stream::analyze_stream_sharded(src, opt, {shards, 2});
+    opt.shards = shards;
+    const stream::PipelineResult sharded = analyze_rows(src, opt);
     EXPECT_EQ(sharded.packets, serial.packets);
     EXPECT_EQ(sharded.counts, serial.counts);
     EXPECT_EQ(stream::vt_csv(sharded), want);
   }
+}
+
+// A source whose next() runs a parallel region, as sharded flow
+// reconstruction does. The pump thread helps drain the pool while it
+// waits there, so a shard consumer must never be a pool task it could
+// pick up: run on the pump, a consumer waits forever for chunks only
+// the pump can push.
+class ParallelRegionSource final : public stream::PacketColumnSource {
+ public:
+  explicit ParallelRegionSource(stream::PacketColumnSource& inner)
+      : inner_(&inner) {}
+  const stream::StreamInfo& info() const override { return inner_->info(); }
+  bool next(stream::PacketColumns& chunk) override {
+    par::parallel_for(0, 4, 1, [](std::size_t, std::size_t) {});
+    return inner_->next(chunk);
+  }
+  void reset() override { inner_->reset(); }
+
+ private:
+  stream::PacketColumnSource* inner_;
+};
+
+TEST(ShardRouter, PumpInsideAParallelRegionDoesNotDeadlock) {
+  stream::PacketColumns table;
+  for (std::uint32_t i = 0; i < 64; ++i) {
+    trace::PacketRecord r;
+    r.time = 0.01 * i;
+    r.conn_id = i + 1;
+    table.push_back(r);
+  }
+  for (std::size_t threads : {std::size_t{2}, std::size_t{4}}) {
+    par::set_thread_count(threads);
+    for (int rep = 0; rep < 50; ++rep) {
+      stream::ColumnTableSource rows(table, {"t", 0.0, 1.0}, 16);
+      ParallelRegionSource source(rows);
+      stream::ShardRouter router({/*n_shards=*/2, /*queue_chunks=*/1});
+      std::vector<std::size_t> seen(2, 0);
+      router.route(source, [&](std::size_t s, const stream::PacketColumns& c) {
+        seen[s] += c.size();
+      });
+      ASSERT_EQ(seen[0] + seen[1], table.size());
+    }
+  }
+  par::set_thread_count(1);
 }
 
 TEST(ShardRouter, RejectsZeroAndOversizedShardCounts) {

@@ -339,10 +339,10 @@ TEST(StreamPipeline, AnalyzeStreamMatchesAnalyzeBatchByteForByte) {
   opt.protocol = trace::Protocol::kTelnet;
   opt.orig_data_only = true;
   opt.remove_outliers = true;
-  opt.chunk_size = 2048;
 
-  synth::StreamingPacketSynthesizer src(cfg, opt.chunk_size);
-  const stream::PipelineResult streamed = stream::analyze_stream(src, opt);
+  synth::StreamingPacketSynthesizer src(cfg, /*chunk_size=*/2048);
+  stream::ColumnsFromRows columns(src);
+  const stream::PipelineResult streamed = stream::analyze_columns(columns, opt);
   const stream::PipelineResult batch = stream::analyze_batch(batch_trace, opt);
 
   EXPECT_EQ(streamed.info.name, batch.info.name);
@@ -363,7 +363,8 @@ TEST(StreamPipeline, UnfilteredAggregateAlsoByteIdentical) {
   opt.bin = 0.5;
 
   synth::StreamingPacketSynthesizer src(cfg);
-  const stream::PipelineResult streamed = stream::analyze_stream(src, opt);
+  stream::ColumnsFromRows columns(src);
+  const stream::PipelineResult streamed = stream::analyze_columns(columns, opt);
   const stream::PipelineResult batch = stream::analyze_batch(batch_trace, opt);
   EXPECT_EQ(stream::vt_csv(streamed), stream::vt_csv(batch));
   EXPECT_EQ(streamed.burst_lull.burst_lengths, batch.burst_lull.burst_lengths);
@@ -379,9 +380,10 @@ TEST(StreamPipeline, TooShortSeriesThrows) {
   r.time = 0.5;
   t.add(r);
   stream::TraceChunkSource src(t);
+  stream::ColumnsFromRows columns(src);
   stream::PipelineOptions opt;
   opt.bin = 0.5;  // 2 bins << 16
-  EXPECT_THROW(stream::analyze_stream(src, opt), std::invalid_argument);
+  EXPECT_THROW(stream::analyze_columns(columns, opt), std::invalid_argument);
 }
 
 }  // namespace

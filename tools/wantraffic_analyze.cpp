@@ -14,20 +14,23 @@
 // analyses below see the same record types either way. Ingestion is
 // strict by default; --lenient salvages damaged captures and prints the
 // error ledger. pcap is decoded on the zero-copy path (mmap'd decode,
-// flat flow table, direct columnar emission — DESIGN.md §14), and the
-// serial --stream analysis of a pcap runs in one decode pass
-// (analyze_pcap_onepass): the time range is learned from the packets as
-// they are binned, and a capture out of time order falls back to the
-// eager prescan + analysis. The bytes out are the same either way.
+// flat flow table, direct columnar emission — DESIGN.md §14). An
+// ingested packet capture is always analyzed streamed, in one call: a
+// serial pcap run is analyze_pcap_onepass, which decodes the capture
+// once and learns the time range from the packets as they are binned
+// (a capture out of time order falls back to the eager prescan +
+// analysis); every other run is analyze_columns. --stream is accepted
+// and changes nothing there. The bytes out are the same either way.
 //
-// --stream runs the packet analysis through the chunked columnar
-// pipeline (src/stream): the file is never materialized in memory, yet
-// the results — including the --vt-csv figure file — are
-// byte-identical to the batch path's.
+// For this repo's own trace files, --stream runs the packet analysis
+// through the chunked columnar pipeline (src/stream): the file is never
+// materialized in memory, yet the results — including the --vt-csv
+// figure file — are byte-identical to the batch path's.
 //
 // --shards N (pkt mode, implies --stream) fans the analysis — and,
 // with --ingest-format, flow reconstruction itself — across N
-// flow-hash shards on the src/par worker pool (--threads M sizes it).
+// flow-hash shards (--threads M sets the worker count; at 1 the shards
+// run inline).
 // Sharded output is byte-identical to the serial path at every shard
 // and thread count; see src/stream/shard.hpp for the contract.
 // --shards contradicts conn mode (connection closure order is not
@@ -58,7 +61,6 @@
 #include "src/stream/binary_chunk.hpp"
 #include "src/stream/csv_chunk.hpp"
 #include "src/stream/pipeline.hpp"
-#include "src/stream/shard.hpp"
 #include "src/stream/window_analyzer.hpp"
 #include "src/trace/binary_io.hpp"
 #include "src/trace/burst.hpp"
@@ -88,6 +90,8 @@ int usage() {
                "                          [--window-csv FILE]]\n"
                "  either mode: [--ingest-format pcap|lbl-conn|lbl-pkt] "
                "[--lenient]\n"
+               "  pkt mode streams every --ingest-format run (--stream "
+               "is implied)\n"
                "  FILE may be - (stdin) with --ingest-format pcap\n");
   return 2;
 }
@@ -184,15 +188,6 @@ int report_pkt(const stream::PipelineResult& result,
   return 0;
 }
 
-// Streamed whole-stream analysis: sharded across the worker pool under
-// --shards, serial otherwise. Byte-identical either way.
-stream::PipelineResult analyze(stream::PacketColumnSource& src,
-                               const stream::PipelineOptions& opt,
-                               std::size_t shards) {
-  if (shards > 1) return stream::analyze_sharded(src, opt, {shards});
-  return stream::analyze_columns(src, opt);
-}
-
 // The ingest paths' report: the source line and ledger, then the
 // battery.
 int report_ingested(const stream::PipelineResult& result,
@@ -270,8 +265,8 @@ std::optional<stream::WindowedOptions> windowed_options(
 }
 
 int run_pkt(const std::string& path, const tools::ArgParser& args) {
-  const std::size_t shards = args.count("--shards", 1, 1);
   stream::PipelineOptions opt;
+  opt.shards = args.count("--shards", 1, 1);
   opt.bin = args.number("--bin", opt.bin);
   if (const std::string* proto_s = args.value("--protocol")) {
     const auto p = trace::protocol_from_string(*proto_s);
@@ -285,17 +280,16 @@ int run_pkt(const std::string& path, const tools::ArgParser& args) {
     opt.orig_data_only = true;
     opt.remove_outliers = true;
   }
-  opt.chunk_size = args.count("--chunk", opt.chunk_size, 1);
   const auto windowed = windowed_options(args, opt);
 
   if (const auto format = ingest_format(args)) {
     ingest::IngestOptions iopt = ingest_options(args);
-    iopt.shards = shards;  // shard flow reconstruction too
+    iopt.shards = opt.shards;  // shard flow reconstruction too
     // Serial whole-stream pcap analysis skips the prescan: one decode
     // pass learns the time range as it bins, with the eager two-pass
     // path as the fallback for a capture out of time order.
     if (*format == ingest::IngestFormat::kPcap && !windowed &&
-        shards == 1 && args.has("--stream")) {
+        opt.shards == 1) {
       ingest::PcapColumnSource src(path, iopt.mode, iopt.flow,
                                    iopt.chunk_size,
                                    ingest::Prescan::kDeferred);
@@ -304,23 +298,22 @@ int run_pkt(const std::string& path, const tools::ArgParser& args) {
     }
     const auto src = ingest::open_packet_column_source(path, *format, iopt);
     if (windowed) return run_windowed(*src, *windowed, args);
-    if (args.has("--stream") || shards > 1)
-      return report_ingested(analyze(*src, opt, shards), path, *src, args);
-    stream::RowsFromColumns rows(*src);
-    return report_ingested(stream::analyze_batch(stream::collect(rows), opt),
-                           path, *src, args);
+    return report_ingested(stream::analyze_columns(*src, opt), path, *src,
+                           args);
   }
 
-  if (windowed || args.has("--stream") || shards > 1) {
+  if (windowed || args.has("--stream") || opt.shards > 1) {
+    const std::size_t chunk =
+        args.count("--chunk", stream::kDefaultChunkSize, 1);
     std::unique_ptr<stream::PacketChunkSource> rows;
     if (args.has("--binary")) {
-      rows = std::make_unique<stream::BinaryChunkSource>(path, opt.chunk_size);
+      rows = std::make_unique<stream::BinaryChunkSource>(path, chunk);
     } else {
-      rows = std::make_unique<stream::CsvChunkSource>(path, opt.chunk_size);
+      rows = std::make_unique<stream::CsvChunkSource>(path, chunk);
     }
     stream::ColumnsFromRows src(*rows);
     if (windowed) return run_windowed(src, *windowed, args);
-    const stream::PipelineResult result = analyze(src, opt, shards);
+    const stream::PipelineResult result = stream::analyze_columns(src, opt);
     std::printf("streamed %llu packets from %s (%s)\n",
                 static_cast<unsigned long long>(result.packets), path.c_str(),
                 result.info.name.c_str());
