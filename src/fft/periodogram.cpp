@@ -110,15 +110,6 @@ void AveragedPeriodogram::push(std::span<const double> x) {
   ++segments_;
 }
 
-void AveragedPeriodogram::merge(const AveragedPeriodogram& other) {
-  if (segment_length_ != other.segment_length_)
-    throw std::invalid_argument(
-        "AveragedPeriodogram::merge: segment length mismatch");
-  for (std::size_t i = 0; i < ordinate_sum_.size(); ++i)
-    ordinate_sum_[i] += other.ordinate_sum_[i];
-  segments_ += other.segments_;
-}
-
 AveragedPeriodogramSnapshot AveragedPeriodogram::snapshot() const {
   return {static_cast<std::uint64_t>(segment_length_),
           static_cast<std::uint64_t>(segments_), ordinate_sum_};

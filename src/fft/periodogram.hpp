@@ -90,12 +90,10 @@ struct AveragedPeriodogramSnapshot {
 
 /// Bartlett-style averaged periodogram: push fixed-length segments of a
 /// count series and finish() with per-segment periodograms averaged
-/// ordinate by ordinate — the mergeable spectral input for sharded
-/// Whittle/GPH/Beran estimation. Each segment is centered on its own
-/// mean (Welch's segment convention), so a segment's contribution
-/// depends only on its own samples; merging two accumulators is then an
-/// exact elementwise sum plus a segment-count add, and any merge order
-/// over disjoint segment sets reproduces the serial bits.
+/// ordinate by ordinate. Each segment is centered on its own mean
+/// (Welch's segment convention), so a segment's contribution depends
+/// only on its own samples — which is what lets the rolling SegmentRing
+/// add and evict segments and still match this accumulator bit for bit.
 class AveragedPeriodogram {
  public:
   /// Throws std::invalid_argument unless segment_length >= 4 and even
@@ -108,12 +106,6 @@ class AveragedPeriodogram {
 
   std::size_t segment_length() const { return segment_length_; }
   std::size_t segments() const { return segments_; }
-
-  /// Elementwise ordinate-sum add; requires equal segment lengths
-  /// (throws std::invalid_argument otherwise). Associative up to
-  /// floating-point addition order — fix the fold order (shard 0 <- 1
-  /// <- 2 ...) for reproducible bits.
-  void merge(const AveragedPeriodogram& other);
 
   AveragedPeriodogramSnapshot snapshot() const;
   static AveragedPeriodogram from_snapshot(

@@ -21,34 +21,13 @@ const char* to_string(IngestFormat format) noexcept {
   return "?";
 }
 
-namespace {
-
-/// "-" (stdin) rides the MmapPcapReader path: open_byte_source spools
-/// the stream to a rewindable temp file, so only the ASCII formats,
-/// whose readers open the path directly, need rejecting.
-void check_stdin_support(const std::string& path, IngestFormat format) {
-  if (path != "-" || format == IngestFormat::kPcap) return;
-  throw std::invalid_argument(
-      "stdin input (-) is supported for pcap only; the " +
-      std::string(to_string(format)) + " reader needs a named file");
-}
-
-}  // namespace
-
 std::unique_ptr<IngestPacketSource> open_packet_source(
     const std::string& path, IngestFormat format, const IngestOptions& opt) {
-  check_stdin_support(path, format);
   switch (format) {
     case IngestFormat::kPcap:
-      if (opt.shards > 1)
-        return std::make_unique<ShardedMmapPcapPacketSource>(
-            path, opt.mode, opt.shards, opt.flow, opt.chunk_size);
       return std::make_unique<MmapPcapPacketSource>(path, opt.mode, opt.flow,
                                                     opt.chunk_size);
     case IngestFormat::kLblPkt:
-      if (opt.shards > 1)
-        return std::make_unique<ShardedLblPktPacketSource>(
-            path, opt.mode, opt.shards, opt.flow, opt.chunk_size);
       return std::make_unique<LblPktPacketSource>(path, opt.mode, opt.flow,
                                                   opt.chunk_size);
     case IngestFormat::kLblConn:
@@ -60,10 +39,9 @@ std::unique_ptr<IngestPacketSource> open_packet_source(
 
 std::unique_ptr<IngestColumnSource> open_packet_column_source(
     const std::string& path, IngestFormat format, const IngestOptions& opt) {
-  // Native columnar decode exists only for serial pcap; the other
-  // packet configurations keep their row sources (and their stdin
-  // check) and transpose.
-  if (format == IngestFormat::kPcap && opt.shards == 1)
+  // Native columnar decode exists only for pcap; lbl-pkt keeps its row
+  // source and transposes.
+  if (format == IngestFormat::kPcap)
     return std::make_unique<PcapColumnSource>(path, opt.mode, opt.flow,
                                               opt.chunk_size);
   return std::make_unique<ColumnsFromIngest>(
@@ -73,7 +51,6 @@ std::unique_ptr<IngestColumnSource> open_packet_column_source(
 std::unique_ptr<IngestConnSource> open_conn_source(const std::string& path,
                                                    IngestFormat format,
                                                    const IngestOptions& opt) {
-  check_stdin_support(path, format);
   switch (format) {
     case IngestFormat::kPcap:
       return std::make_unique<MmapPcapConnSource>(path, opt.mode, opt.flow,

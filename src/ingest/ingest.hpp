@@ -29,12 +29,6 @@ struct IngestOptions {
   ParseMode mode = ParseMode::kStrict;
   std::size_t chunk_size = stream::kDefaultChunkSize;
   FlowTableConfig flow;  ///< idle timeout for flow reconstruction
-  /// Flow-hash shards for packet-level reconstruction. 1 = the serial
-  /// FlowTable; > 1 fans the table work across the src/par pool with
-  /// byte-identical output (see shard_ingest.hpp). Connection-level
-  /// sources ignore this — closure order is not shard-invariant, so
-  /// tools reject --shards in conn mode instead.
-  std::size_t shards = 1;
 };
 
 /// Packet-level source for the packet formats (pcap, lbl-pkt).
@@ -43,10 +37,10 @@ struct IngestOptions {
 std::unique_ptr<IngestPacketSource> open_packet_source(
     const std::string& path, IngestFormat format, const IngestOptions& opt);
 
-/// Columnar packet-level source: serial pcap decodes straight into
+/// Columnar packet-level source: pcap decodes straight into
 /// PacketColumns (PcapColumnSource — no row chunk, the zero-copy fast
-/// path analyze_columns drains); sharded pcap and lbl-pkt are the row
-/// source bridged through a transpose.
+/// path analyze_columns drains); lbl-pkt is the row source bridged
+/// through a transpose.
 /// Rows are identical to open_packet_source's in every configuration.
 /// Throws std::invalid_argument for kLblConn.
 std::unique_ptr<IngestColumnSource> open_packet_column_source(

@@ -2,8 +2,9 @@
 
 #include <array>
 #include <charconv>
+#include <cstring>
 #include <limits>
-#include <string_view>
+#include <stdexcept>
 
 #include "src/ingest/classify.hpp"
 
@@ -13,7 +14,7 @@ namespace {
 
 // Tokenization and numeric parsing run per line over million-line
 // archives, so both are locale-free and allocation-free:
-// whitespace-splitting yields string_views into the getline buffer and
+// whitespace-splitting yields string_views into the input bytes and
 // std::from_chars parses in place — no istringstream construction, no
 // strtod locale lookup, no c_str() copies.
 
@@ -65,25 +66,62 @@ bool skippable(std::string_view line) {
 
 }  // namespace
 
+// ------------------------------------------------------------- ByteLines
+
+ByteLines::ByteLines(const std::string& path, const char* tag) {
+  try {
+    src_ = open_byte_source(path);
+  } catch (const std::runtime_error&) {
+    throw std::runtime_error(std::string(tag) +
+                             ": cannot open for read: " + path);
+  }
+}
+
+bool ByteLines::next(std::string_view& line) {
+  src_->advance(pending_);
+  pending_ = 0;
+  // Look for the newline in a window that doubles until it holds one;
+  // a window the input cannot fill is the last line.
+  std::size_t want = 4096;
+  for (;;) {
+    std::size_t avail = 0;
+    const unsigned char* p = src_->ensure(want, &avail);
+    if (avail == 0) return false;
+    const auto* nl =
+        static_cast<const unsigned char*>(std::memchr(p, '\n', avail));
+    if (nl != nullptr || avail < want) {
+      const std::size_t len =
+          nl != nullptr ? static_cast<std::size_t>(nl - p) : avail;
+      line = std::string_view(reinterpret_cast<const char*>(p), len);
+      pending_ = nl != nullptr ? len + 1 : len;
+      return true;
+    }
+    want *= 2;
+  }
+}
+
+void ByteLines::rewind() {
+  src_->rewind();
+  pending_ = 0;
+}
+
 // --------------------------------------------------------- LblConnReader
 
 LblConnReader::LblConnReader(const std::string& path, ParseMode mode)
-    : is_(path), path_(path), mode_(mode) {
-  if (!is_)
-    throw std::runtime_error("lbl-conn: cannot open for read: " + path);
-}
+    : lines_(path, "lbl-conn"), path_(path), mode_(mode) {}
 
 bool LblConnReader::next(trace::ConnRecord& out) {
-  while (std::getline(is_, line_)) {
+  std::string_view line;
+  while (lines_.next(line)) {
     ++line_no_;
-    stats_.bytes += line_.size() + 1;
-    if (skippable(line_)) continue;
+    stats_.bytes += line.size() + 1;
+    if (skippable(line)) continue;
 
     const auto where = [&] {
       return path_ + " line " + std::to_string(line_no_);
     };
     std::array<std::string_view, 7> fields;
-    const std::size_t nfields = split_ws(std::string_view(line_), fields);
+    const std::size_t nfields = split_ws(line, fields);
     if (nfields < 7) {
       report(stats_, &IngestStats::bad_lines, mode_,
              "lbl-conn line with " + std::to_string(nfields) +
@@ -159,9 +197,7 @@ bool LblConnReader::next(trace::ConnRecord& out) {
 }
 
 void LblConnReader::reset() {
-  is_.clear();
-  is_.seekg(0);
-  if (!is_) throw std::runtime_error("lbl-conn: reset seek failed: " + path_);
+  lines_.rewind();
   stats_.clear();
   line_no_ = 0;
   prev_start_ = 0.0;
@@ -171,22 +207,20 @@ void LblConnReader::reset() {
 // ---------------------------------------------------------- LblPktReader
 
 LblPktReader::LblPktReader(const std::string& path, ParseMode mode)
-    : is_(path), path_(path), mode_(mode) {
-  if (!is_)
-    throw std::runtime_error("lbl-pkt: cannot open for read: " + path);
-}
+    : lines_(path, "lbl-pkt"), path_(path), mode_(mode) {}
 
 bool LblPktReader::next(RawPacket& out) {
-  while (std::getline(is_, line_)) {
+  std::string_view line;
+  while (lines_.next(line)) {
     ++line_no_;
-    stats_.bytes += line_.size() + 1;
-    if (skippable(line_)) continue;
+    stats_.bytes += line.size() + 1;
+    if (skippable(line)) continue;
 
     const auto where = [&] {
       return path_ + " line " + std::to_string(line_no_);
     };
     std::array<std::string_view, 6> fields;
-    const std::size_t nfields = split_ws(std::string_view(line_), fields);
+    const std::size_t nfields = split_ws(line, fields);
     if (nfields < 6) {
       report(stats_, &IngestStats::bad_lines, mode_,
              "lbl-pkt line with " + std::to_string(nfields) +
@@ -230,9 +264,7 @@ bool LblPktReader::next(RawPacket& out) {
 }
 
 void LblPktReader::reset() {
-  is_.clear();
-  is_.seekg(0);
-  if (!is_) throw std::runtime_error("lbl-pkt: reset seek failed: " + path_);
+  lines_.rewind();
   stats_.clear();
   line_no_ = 0;
   prev_time_ = 0.0;

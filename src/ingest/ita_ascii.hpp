@@ -17,21 +17,45 @@
 //
 // Both readers stream line by line (memory bounded by one line), skip
 // '#' comments and blank lines, and report defects through the shared
-// IngestStats/ParseMode contract.
+// IngestStats/ParseMode contract. They read through open_byte_source,
+// like the pcap reader, so "-" (stdin) and named FIFOs are spooled to a
+// rewindable temp file and the two-pass sources work on them too.
 #pragma once
 
-#include <fstream>
+#include <memory>
 #include <string>
+#include <string_view>
 
 #include "src/ingest/ingest_stats.hpp"
+#include "src/ingest/mmap_source.hpp"
 #include "src/ingest/raw_packet.hpp"
 #include "src/trace/records.hpp"
 
 namespace wan::ingest {
 
+/// Line cursor over the ByteSource open_byte_source picks for `path`.
+class ByteLines {
+ public:
+  /// Throws std::runtime_error ("<tag>: cannot open for read: <path>")
+  /// if the input cannot be opened or spooled.
+  ByteLines(const std::string& path, const char* tag);
+
+  /// The next line without its '\n' (a last line lacking one still
+  /// counts). The view is valid until the next call. False at end of
+  /// input.
+  bool next(std::string_view& line);
+
+  /// Back to the first line.
+  void rewind();
+
+ private:
+  std::unique_ptr<ByteSource> src_;
+  std::size_t pending_ = 0;  ///< the last line's bytes, consumed by next()
+};
+
 class LblConnReader {
  public:
-  /// Throws std::runtime_error if the file cannot be opened.
+  /// Throws std::runtime_error if the input cannot be opened.
   LblConnReader(const std::string& path, ParseMode mode);
 
   /// Parses the next connection line. Returns false at EOF. In lenient
@@ -44,19 +68,18 @@ class LblConnReader {
   const IngestStats& stats() const { return stats_; }
 
  private:
-  std::ifstream is_;
+  ByteLines lines_;
   std::string path_;
   ParseMode mode_;
   IngestStats stats_;
   std::size_t line_no_ = 0;
   double prev_start_ = 0.0;
   bool any_ = false;
-  std::string line_;
 };
 
 class LblPktReader {
  public:
-  /// Throws std::runtime_error if the file cannot be opened.
+  /// Throws std::runtime_error if the input cannot be opened.
   LblPktReader(const std::string& path, ParseMode mode);
 
   /// Parses the next packet line into a RawPacket (tcp, no flag bits).
@@ -67,14 +90,13 @@ class LblPktReader {
   const IngestStats& stats() const { return stats_; }
 
  private:
-  std::ifstream is_;
+  ByteLines lines_;
   std::string path_;
   ParseMode mode_;
   IngestStats stats_;
   std::size_t line_no_ = 0;
   double prev_time_ = 0.0;
   bool any_ = false;
-  std::string line_;
 };
 
 }  // namespace wan::ingest

@@ -40,10 +40,9 @@ namespace wan::ingest {
 /// Analyzes `source` (constructed with Prescan::kDeferred) in a single
 /// decode pass when the capture allows it, falling back to the
 /// two-pass analyze_columns path when it does not. Also accepts an
-/// eager source, which just delegates to analyze_columns. The single
-/// pass itself is serial; options.shards applies to the two-pass path
-/// only. Throws std::invalid_argument ("series too short") exactly when
-/// the eager path would, though at end of stream rather than up front.
+/// eager source, which just delegates to analyze_columns. Throws
+/// std::invalid_argument ("series too short") exactly when the eager
+/// path would, though at end of stream rather than up front.
 stream::PipelineResult analyze_pcap_onepass(
     PcapColumnSource& source, const stream::PipelineOptions& options = {});
 

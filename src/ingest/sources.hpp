@@ -36,7 +36,6 @@
 #include "src/ingest/flow_table.hpp"
 #include "src/ingest/ingest_stats.hpp"
 #include "src/ingest/mmap_source.hpp"
-#include "src/ingest/shard_ingest.hpp"
 #include "src/ingest/ita_ascii.hpp"
 #include "src/stream/chunk.hpp"
 #include "src/stream/columnar.hpp"
@@ -91,39 +90,6 @@ class PacketSourceImpl final : public IngestPacketSource {
 
 using MmapPcapPacketSource = PacketSourceImpl<MmapPcapReader>;
 using LblPktPacketSource = PacketSourceImpl<LblPktReader>;
-
-/// Sharded twin of PacketSourceImpl: one reader (a capture is a single
-/// byte stream), flow reconstruction fanned across per-shard tables on
-/// the src/par pool, records re-emitted in capture order with serial
-/// conn-id numbering. Chunks are byte-identical to PacketSourceImpl's
-/// at every (shard count, thread count) — see shard_ingest.hpp for the
-/// argument. stats() is the reader's ledger (parse defects happen
-/// before routing); the table's per-shard record ledgers merge into one
-/// via flow_table().merged_ledger().
-template <typename Reader>
-class ShardedPacketSourceImpl final : public IngestPacketSource {
- public:
-  ShardedPacketSourceImpl(const std::string& path, ParseMode mode,
-                          std::size_t n_shards, FlowTableConfig flow = {},
-                          std::size_t chunk_size = stream::kDefaultChunkSize);
-
-  const stream::StreamInfo& info() const override { return info_; }
-  bool next(std::vector<trace::PacketRecord>& chunk) override;
-  void reset() override;
-
-  const IngestStats& stats() const override { return reader_.stats(); }
-  const ShardedFlowTable& flow_table() const { return table_; }
-
- private:
-  Reader reader_;
-  ShardedFlowTable table_;
-  stream::StreamInfo info_;
-  std::size_t chunk_size_;
-  std::vector<RawPacket> raw_;  ///< batch scratch, one chunk's packets
-};
-
-using ShardedMmapPcapPacketSource = ShardedPacketSourceImpl<MmapPcapReader>;
-using ShardedLblPktPacketSource = ShardedPacketSourceImpl<LblPktReader>;
 
 /// Whether a source's constructor runs the prescan pass (the default)
 /// or defers it for the speculative single-pass analysis.
@@ -189,8 +155,8 @@ class PcapColumnSource final : public IngestColumnSource {
 };
 
 /// Owning rows->columns bridge: any IngestPacketSource behind the
-/// columnar ledger contract, for the configurations (lbl-pkt, sharded
-/// pcap) that have no native columnar decode.
+/// columnar ledger contract, for lbl-pkt, which has no native columnar
+/// decode.
 class ColumnsFromIngest final : public IngestColumnSource {
  public:
   explicit ColumnsFromIngest(std::unique_ptr<IngestPacketSource> inner)

@@ -16,6 +16,11 @@ std::string filter_suffix(const std::optional<trace::Protocol>& protocol,
   return s;
 }
 
+namespace {
+
+// ColumnFilterSource's kernel on one chunk: returns `in` itself when no
+// predicate is set or every row survives, otherwise gathers the
+// survivors into `out` and returns it. `sel` is scratch.
 const PacketColumns& filter_rows(const PacketColumns& in,
                                  const std::optional<trace::Protocol>& protocol,
                                  bool orig_data,
@@ -35,6 +40,8 @@ const PacketColumns& filter_rows(const PacketColumns& in,
   return out;
 }
 
+// ColumnBulkOutlierSource's second-pass kernel on one chunk: drops the
+// rows of flagged connections, with filter_rows' return convention.
 const PacketColumns& drop_outlier_rows(const PacketColumns& in,
                                        const std::set<std::uint32_t>& outliers,
                                        std::vector<std::uint32_t>& sel,
@@ -53,6 +60,8 @@ const PacketColumns& drop_outlier_rows(const PacketColumns& in,
   gather(in, sel, out);
   return out;
 }
+
+}  // namespace
 
 ColumnFilterSource::ColumnFilterSource(PacketColumnSource& inner,
                                        std::optional<trace::Protocol> protocol,

@@ -22,22 +22,6 @@ namespace wan::stream {
 std::string filter_suffix(const std::optional<trace::Protocol>& protocol,
                           bool orig_data, bool no_outliers = false);
 
-/// ColumnFilterSource's kernel on one chunk: returns `in` itself when
-/// no predicate is set or every row survives, otherwise gathers the
-/// survivors into `out` and returns it. `sel` is scratch.
-const PacketColumns& filter_rows(const PacketColumns& in,
-                                 const std::optional<trace::Protocol>& protocol,
-                                 bool orig_data,
-                                 std::vector<std::uint32_t>& sel,
-                                 PacketColumns& out);
-
-/// ColumnBulkOutlierSource's second-pass kernel on one chunk: drops the
-/// rows of flagged connections, with filter_rows' return convention.
-const PacketColumns& drop_outlier_rows(const PacketColumns& in,
-                                       const std::set<std::uint32_t>& outliers,
-                                       std::vector<std::uint32_t>& sel,
-                                       PacketColumns& out);
-
 /// Stateless columnar row filter: by protocol (if set), then
 /// originator-data (if requested) — the same predicates, order and
 /// derived-name suffixes as stacking the batch filters, but the

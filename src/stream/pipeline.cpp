@@ -2,17 +2,17 @@
 
 #include <cmath>
 #include <cstdio>
-#include <set>
 #include <stdexcept>
 #include <utility>
 
 #include "src/par/parallel.hpp"
-#include "src/stream/shard.hpp"
 #include "src/trace/packet_trace.hpp"
 
 namespace wan::stream {
 
 namespace {
+
+constexpr std::size_t kMaxShards = 1024;
 
 std::string fmt_double(double v) {
   char buf[40];
@@ -44,14 +44,12 @@ class ShardCounts {
       bins_.emplace_back(info.t_begin, info.t_end, bin);
   }
 
-  void add(std::size_t shard, const PacketColumns& chunk) {
-    packets_[shard] += chunk.size();
-    bins_[shard].add(std::span<const double>(chunk.time));
-  }
-
   void drain(std::size_t shard, PacketColumnSource& source) {
     PacketColumns chunk;
-    while (source.next(chunk)) add(shard, chunk);
+    while (source.next(chunk)) {
+      packets_[shard] += chunk.size();
+      bins_[shard].add(std::span<const double>(chunk.time));
+    }
   }
 
   PipelineResult finish() {
@@ -68,60 +66,6 @@ class ShardCounts {
   std::vector<stats::BinCountsAccumulator> bins_;
   std::vector<std::uint64_t> packets_;
 };
-
-// Consumer-local scratch; index s is touched only by shard s's consumer.
-struct ShardScratch {
-  std::vector<std::uint32_t> sel;
-  PacketColumns filtered;
-  PacketColumns kept;
-};
-
-// analyze_columns with options.shards > 1: the filter kernels run on
-// each routed sub-chunk instead of as a source stack over the stream.
-PipelineResult analyze_routed(PacketColumnSource& source,
-                              const PipelineOptions& options) {
-  ShardRouter router({options.shards});
-  const std::size_t n = router.n_shards();
-
-  StreamInfo info = source.info();
-  info.name += filter_suffix(options.protocol, options.orig_data_only,
-                             options.remove_outliers);
-  require_series(info, options.bin);
-
-  std::vector<ShardScratch> scratch(n);
-  const auto filtered = [&](std::size_t s, const PacketColumns& chunk)
-      -> const PacketColumns& {
-    return filter_rows(chunk, options.protocol, options.orig_data_only,
-                       scratch[s].sel, scratch[s].filtered);
-  };
-
-  // Pass 1 (outlier filter only): per-shard detectors over the filtered
-  // sub-streams. A connection's rows all land in its shard, in stream
-  // order, so the union of the per-shard outlier sets equals the serial
-  // detector's set exactly.
-  std::vector<std::set<std::uint32_t>> outliers(n);
-  if (options.remove_outliers) {
-    std::vector<trace::BulkOutlierDetector> detectors;
-    detectors.reserve(n);
-    for (std::size_t s = 0; s < n; ++s)
-      detectors.emplace_back(options.outlier_max_bytes,
-                             options.outlier_max_rate);
-    router.route(source, [&](std::size_t s, const PacketColumns& chunk) {
-      const PacketColumns& f = filtered(s, chunk);
-      for (std::size_t i = 0; i < f.size(); ++i) detectors[s].observe(f.row(i));
-    });
-    for (std::size_t s = 0; s < n; ++s) outliers[s] = detectors[s].outliers();
-    source.reset();
-  }
-
-  // Pass 2: per-shard bin-count accumulation.
-  ShardCounts counts(info, options.bin, n);
-  router.route(source, [&](std::size_t s, const PacketColumns& chunk) {
-    counts.add(s, drop_outlier_rows(filtered(s, chunk), outliers[s],
-                                    scratch[s].sel, scratch[s].kept));
-  });
-  return counts.finish();
-}
 
 }  // namespace
 
@@ -141,7 +85,6 @@ FilterStack::FilterStack(PacketColumnSource& source,
 
 PipelineResult analyze_columns(PacketColumnSource& source,
                                const PipelineOptions& options) {
-  if (options.shards > 1) return analyze_routed(source, options);
   FilterStack filters(source, options);
   const StreamInfo info = filters.top().info();
   require_series(info, options.bin);
@@ -154,10 +97,10 @@ PipelineResult analyze_sharded_sources(
     const std::function<std::unique_ptr<PacketChunkSource>(std::size_t)>&
         make_shard,
     std::size_t n_shards, const PipelineOptions& options) {
-  if (n_shards == 0 || n_shards > ShardRouter::kMaxShards)
+  if (n_shards == 0 || n_shards > kMaxShards)
     throw std::invalid_argument(
         "analyze_sharded_sources: n_shards must be in [1, " +
-        std::to_string(ShardRouter::kMaxShards) + "]");
+        std::to_string(kMaxShards) + "]");
 
   // Shard 0's info IS the serial info (the factory contract), so the
   // bin grid and the derived name are fixed before any shard runs.

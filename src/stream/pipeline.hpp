@@ -2,10 +2,11 @@
 // filters → binned counts → variance-time / moments / burst-lull, all
 // single-pass (the outlier filter's second pass excepted).
 //
-// analyze_columns is the one whole-stream analysis: serial, or fanned
-// across flow-hash shards when options.shards > 1 (shard.hpp routes the
-// chunks). analyze_batch is the independent reference on an in-memory
-// PacketTrace via the span-based statistics. Both feed the identical
+// analyze_columns is the one whole-stream analysis of a chunk source;
+// analyze_sharded_sources runs the same filters and bins per shard when
+// each shard generates its own sub-stream. analyze_batch is the
+// independent reference on an in-memory PacketTrace via the span-based
+// statistics. Both feed the identical
 // accumulator arithmetic (VtLevelAccumulator, BinCounts, BurstLull), so
 // their results — and the figure CSVs rendered from them — are
 // byte-identical. The `stream`-labeled tests pin this.
@@ -36,10 +37,6 @@ struct PipelineOptions {
   bool remove_outliers = false;
   double outlier_max_bytes = 1024.0;
   double outlier_max_rate = 8.0;
-
-  /// Flow-hash shards the analysis fans across (1 = serial). Any count
-  /// gives the same bytes; see analyze_columns.
-  std::size_t shards = 1;
 };
 
 struct PipelineResult {
@@ -75,29 +72,27 @@ class FilterStack {
 /// Streams the source through the configured filters and accumulators.
 /// Filters are selection-vector passes (columnar_filters.hpp) and the
 /// accumulators consume whole columns (BinCountsAccumulator::add(span)
-/// etc.). With options.shards > 1 a ShardRouter partitions the stream
-/// by flow hash: each shard's consumer filters and bins its sub-stream
-/// (the outlier scan is per shard too — outlier decisions are per
-/// connection, and a connection is shard-local), and the bin grids
-/// merge in shard order. The result is byte-identical at
-/// every (shard count, thread count). Throws std::invalid_argument if
-/// the count series would be shorter than 16 bins (same limit as
-/// variance_time_plot). With remove_outliers the source is drained
-/// twice (reset() between passes).
+/// etc.). Throws std::invalid_argument if the count series would be
+/// shorter than 16 bins (same limit as variance_time_plot). With
+/// remove_outliers the source is drained twice (reset() between
+/// passes).
 PipelineResult analyze_columns(PacketColumnSource& source,
                                const PipelineOptions& options = {});
 
-/// Per-shard-source form: shard s pulls from its own source instead of
-/// routing one shared stream through queues — the shape per-shard
-/// synthesis wants, where each shard regenerates exactly its own
-/// connections. make_shard(s) must return a source whose records are
-/// exactly the serial stream's records with shard_of(conn_id, n_shards)
-/// == s (per connection, in time order), and whose info matches the
-/// serial source's — which StreamingPacketSynthesizer's SynthShard
-/// guarantees. make_shard may be called concurrently from pool
-/// threads. Shards run concurrently via par::parallel_for, each with
-/// its own filter stack; merged output is byte-identical to the serial
-/// analysis. options.shards is ignored: n_shards rules.
+/// Per-shard-source form: shard s pulls from its own source — the
+/// shape per-shard synthesis wants, where each shard regenerates
+/// exactly its own connections. make_shard(s) must return a source
+/// whose records are exactly the serial stream's records with
+/// shard_of(conn_id, n_shards) == s (shard.hpp; per connection, in time
+/// order), and whose info matches the serial source's — which
+/// StreamingPacketSynthesizer's SynthShard guarantees. make_shard may
+/// be called concurrently from pool threads. Shards run concurrently
+/// via par::parallel_for, each with its own filter stack (the outlier
+/// scan is per shard too — outlier decisions are per connection, and a
+/// connection is shard-local), and the bin grids merge in shard order,
+/// so the output is byte-identical to the serial analysis at every
+/// (shard count, thread count). Throws std::invalid_argument unless
+/// 1 <= n_shards <= 1024.
 PipelineResult analyze_sharded_sources(
     const std::function<std::unique_ptr<PacketChunkSource>(std::size_t)>&
         make_shard,

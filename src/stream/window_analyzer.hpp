@@ -174,8 +174,8 @@ WindowReport analyze_window_batch(std::span<const double> times, double t0,
                                   const WindowedOptions& options);
 
 /// Counts-form of the reference, for callers that already hold the
-/// window's count series (shard-merge tests). poisson is skipped
-/// (counts cannot reproduce arrival times).
+/// window's count series (analyze_window_batch bins, then calls this).
+/// poisson is skipped (counts cannot reproduce arrival times).
 WindowReport analyze_window_counts(std::span<const double> counts, double t0,
                                    const WindowedOptions& options,
                                    std::uint64_t packets);

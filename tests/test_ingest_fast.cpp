@@ -742,13 +742,17 @@ TEST(StdinInput, DashStreamsAPipedPcapThroughTheColumnFactory) {
   expect_same_stats(piped->stats(), file->stats());
 }
 
-TEST(FifoInput, EagerSourceDecodesANamedFifoLikeTheFile) {
+// Builds a source with make(path) on a fresh named FIFO that a writer
+// thread fills with fixture `name`; nullptr (and a test failure) when
+// make throws. The writer's open() blocks until the source opens the
+// read end.
+template <class Make>
+auto open_through_fifo(const std::string& name, Make make) {
   const std::string fifo = ::testing::TempDir() + "wantraffic_fifo_" +
                            std::to_string(::getpid());
   ::unlink(fifo.c_str());
-  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
-  const auto bytes = slurp(fixture("tiny_le.pcap"));
-  // The writer's open() blocks until the source opens the read end.
+  EXPECT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+  const auto bytes = slurp(fixture(name));
   std::thread writer([&] {
     const int fd = ::open(fifo.c_str(), O_WRONLY);
     ASSERT_GE(fd, 0);
@@ -756,45 +760,82 @@ TEST(FifoInput, EagerSourceDecodesANamedFifoLikeTheFile) {
               static_cast<ssize_t>(bytes.size()));
     ::close(fd);
   });
-  // The eager constructor prescans, then rewinds: a FIFO survives that
-  // only because open_byte_source spools it.
-  std::unique_ptr<ingest::PcapColumnSource> piped;
+  decltype(make(fifo)) src;
   try {
-    piped = std::make_unique<ingest::PcapColumnSource>(fifo,
-                                                       ParseMode::kStrict);
+    src = make(fifo);
   } catch (const std::exception& e) {
-    ADD_FAILURE() << e.what();
+    ADD_FAILURE() << name << ": " << e.what();
   }
   writer.join();
   ::unlink(fifo.c_str());
-  ASSERT_NE(piped, nullptr);
+  return src;
+}
 
-  ingest::PcapColumnSource file(fixture("tiny_le.pcap"), ParseMode::kStrict);
-  EXPECT_EQ(piped->info().t_begin, file.info().t_begin);
-  EXPECT_EQ(piped->info().t_end, file.info().t_end);
-  const auto ca = stream::collect_columns(*piped);
-  const auto cb = stream::collect_columns(file);
+void expect_same_columns(stream::PacketColumnSource& a,
+                         stream::PacketColumnSource& b) {
+  EXPECT_EQ(a.info().t_begin, b.info().t_begin);
+  EXPECT_EQ(a.info().t_end, b.info().t_end);
+  const auto ca = stream::collect_columns(a);
+  const auto cb = stream::collect_columns(b);
   ASSERT_EQ(ca.size(), cb.size());
   EXPECT_EQ(ca.time, cb.time);
   EXPECT_EQ(ca.protocol, cb.protocol);
   EXPECT_EQ(ca.conn_id, cb.conn_id);
   EXPECT_EQ(ca.from_originator, cb.from_originator);
   EXPECT_EQ(ca.payload_bytes, cb.payload_bytes);
-  expect_same_stats(piped->stats(), file.stats());
 }
 
-TEST(StdinInput, RejectsConfigurationsThatNeedANamedFile) {
-  ingest::IngestOptions opt;
-  EXPECT_THROW(
-      ingest::open_packet_source("-", ingest::IngestFormat::kLblPkt, opt),
-      std::invalid_argument);
-  EXPECT_THROW(
-      ingest::open_packet_column_source("-", ingest::IngestFormat::kLblPkt,
-                                        opt),
-      std::invalid_argument);
-  EXPECT_THROW(
-      ingest::open_conn_source("-", ingest::IngestFormat::kLblConn, opt),
-      std::invalid_argument);
+// The eager constructors prescan, then rewind: a FIFO survives that
+// only because open_byte_source spools it — for the pcap reader and,
+// reading lines through the same byte source, the ITA ASCII readers.
+TEST(FifoInput, EagerSourceDecodesANamedFifoLikeTheFile) {
+  const auto pcap = open_through_fifo("tiny_le.pcap", [](const std::string& p) {
+    return std::make_unique<ingest::PcapColumnSource>(p, ParseMode::kStrict);
+  });
+  ASSERT_NE(pcap, nullptr);
+  ingest::PcapColumnSource pcap_file(fixture("tiny_le.pcap"),
+                                     ParseMode::kStrict);
+  expect_same_columns(*pcap, pcap_file);
+  expect_same_stats(pcap->stats(), pcap_file.stats());
+
+  const auto lbl_pkt =
+      open_through_fifo("sample.lbl-pkt", [](const std::string& p) {
+        return ingest::open_packet_column_source(
+            p, ingest::IngestFormat::kLblPkt, {});
+      });
+  ASSERT_NE(lbl_pkt, nullptr);
+  const auto lbl_pkt_file = ingest::open_packet_column_source(
+      fixture("sample.lbl-pkt"), ingest::IngestFormat::kLblPkt, {});
+  expect_same_columns(*lbl_pkt, *lbl_pkt_file);
+  expect_same_stats(lbl_pkt->stats(), lbl_pkt_file->stats());
+
+  const auto lbl_conn =
+      open_through_fifo("sample.lbl-conn", [](const std::string& p) {
+        return ingest::open_conn_source(p, ingest::IngestFormat::kLblConn,
+                                        {});
+      });
+  ASSERT_NE(lbl_conn, nullptr);
+  const auto lbl_conn_file = ingest::open_conn_source(
+      fixture("sample.lbl-conn"), ingest::IngestFormat::kLblConn, {});
+  EXPECT_EQ(lbl_conn->info().t_begin, lbl_conn_file->info().t_begin);
+  EXPECT_EQ(lbl_conn->info().t_end, lbl_conn_file->info().t_end);
+  const auto conns_piped = stream::collect_conns(*lbl_conn);
+  const auto conns_file = stream::collect_conns(*lbl_conn_file);
+  const std::vector<trace::ConnRecord>& ta = conns_piped.records();
+  const std::vector<trace::ConnRecord>& tb = conns_file.records();
+  ASSERT_GT(tb.size(), 0u);
+  ASSERT_EQ(ta.size(), tb.size());
+  for (std::size_t i = 0; i < ta.size(); ++i) {
+    SCOPED_TRACE("conn " + std::to_string(i));
+    EXPECT_EQ(ta[i].start, tb[i].start);
+    EXPECT_EQ(ta[i].duration, tb[i].duration);
+    EXPECT_EQ(ta[i].protocol, tb[i].protocol);
+    EXPECT_EQ(ta[i].src_host, tb[i].src_host);
+    EXPECT_EQ(ta[i].dst_host, tb[i].dst_host);
+    EXPECT_EQ(ta[i].bytes_orig, tb[i].bytes_orig);
+    EXPECT_EQ(ta[i].bytes_resp, tb[i].bytes_resp);
+  }
+  expect_same_stats(lbl_conn->stats(), lbl_conn_file->stats());
 }
 
 TEST(PcapColumnSource, ResetReproducesIdenticalColumns) {

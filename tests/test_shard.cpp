@@ -1,8 +1,9 @@
 // Sharded execution pins (ctest label `shard`): the merge algebra of
-// every accumulator snapshot, and the end-to-end invariant that the
-// sharded pipeline's output is byte-identical to the serial path at
-// every tested (shard count, thread count) — for synthesized traces
-// (routed and per-shard-synthesized) and for an ingested capture.
+// the accumulators production code merges (bin counts across shards,
+// moments and burst/lull runs across window buckets), and the
+// end-to-end invariant that per-shard synthesis analyzed shard by
+// shard is byte-identical to the serial path at every tested (shard
+// count, thread count).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -10,12 +11,9 @@
 #include <string>
 #include <vector>
 
-#include "src/fft/periodogram.hpp"
-#include "src/ingest/sources.hpp"
 #include "src/par/parallel.hpp"
 #include "src/stats/counting.hpp"
 #include "src/stats/descriptive.hpp"
-#include "src/stats/variance_time.hpp"
 #include "src/stream/columnar.hpp"
 #include "src/stream/pipeline.hpp"
 #include "src/stream/shard.hpp"
@@ -24,10 +22,6 @@
 
 namespace wan {
 namespace {
-
-std::string fixture(const std::string& name) {
-  return std::string(WAN_TEST_DATA_DIR) + "/" + name;
-}
 
 std::vector<double> test_series(std::size_t n, unsigned seed) {
   std::mt19937 gen(seed);
@@ -88,18 +82,6 @@ TEST(ShardMerge, MomentMergeWithEmptyOperandsIsExact) {
   EXPECT_EQ(b.count(), serial.count());
 }
 
-TEST(ShardMerge, MomentSnapshotRoundTrips) {
-  stats::MomentAccumulator a;
-  a.push(std::span<const double>(test_series(500, 3)));
-  const stats::MomentAccumulator b =
-      stats::MomentAccumulator::from_snapshot(a.snapshot());
-  EXPECT_EQ(a.count(), b.count());
-  EXPECT_EQ(a.mean(), b.mean());
-  EXPECT_EQ(a.variance_sample(), b.variance_sample());
-  EXPECT_EQ(a.min(), b.min());
-  EXPECT_EQ(a.max(), b.max());
-}
-
 TEST(ShardMerge, BinCountsMergeIsExactAndOrderFree) {
   // Events split by an arbitrary hash — NOT contiguously — because bin
   // increments are exact integer adds, order-free.
@@ -127,16 +109,6 @@ TEST(ShardMerge, BinCountsMergeRejectsGridMismatch) {
   stats::BinCountsAccumulator a(0.0, 10.0, 0.1);
   stats::BinCountsAccumulator b(0.0, 10.0, 0.2);
   EXPECT_THROW(a.merge(b), std::invalid_argument);
-}
-
-TEST(ShardMerge, BinCountsSnapshotRoundTrips) {
-  stats::BinCountsAccumulator a(0.0, 10.0, 0.5);
-  a.add(std::span<const double>(test_series(200, 5)));
-  const stats::BinCountsAccumulator b =
-      stats::BinCountsAccumulator::from_snapshot(a.snapshot());
-  EXPECT_EQ(a.counts(), b.counts());
-  EXPECT_EQ(a.t0(), b.t0());
-  EXPECT_EQ(a.bin(), b.bin());
 }
 
 TEST(ShardMerge, BurstLullMergeIsTrulyAssociative) {
@@ -173,132 +145,7 @@ TEST(ShardMerge, BurstLullMergeIsTrulyAssociative) {
   EXPECT_EQ(r.lull_lengths, want.lull_lengths);
 }
 
-TEST(ShardMerge, BurstLullSnapshotRoundTrips) {
-  stats::BurstLullAccumulator a;
-  a.push(std::span<const double>(test_series(300, 7)));
-  stats::BurstLullAccumulator b =
-      stats::BurstLullAccumulator::from_snapshot(a.snapshot());
-  // Continue pushing on both: round-tripped state must behave on.
-  const std::vector<double> more = test_series(100, 8);
-  a.push(std::span<const double>(more));
-  b.push(std::span<const double>(more));
-  EXPECT_EQ(a.finish().burst_lengths, b.finish().burst_lengths);
-  EXPECT_EQ(a.finish().lull_lengths, b.finish().lull_lengths);
-}
-
-TEST(ShardMerge, VtLevelMergeOnBlockBoundaryIsDeterministic) {
-  const std::vector<double> x = test_series(9000, 9);
-  stats::VtLevelAccumulator serial(10);
-  serial.push(std::span<const double>(x));
-
-  auto fold = [&] {
-    stats::VtLevelAccumulator a(10), b(10);
-    // Split at 4000 — a multiple of m=10, so a's open block is empty.
-    a.push(std::span<const double>(x).subspan(0, 4000));
-    b.push(std::span<const double>(x).subspan(4000));
-    a.merge(b);
-    return a;
-  };
-  const stats::VtLevelAccumulator m1 = fold();
-  const stats::VtLevelAccumulator m2 = fold();
-  EXPECT_EQ(m1.variance(), m2.variance());
-  EXPECT_EQ(m1.n_blocks(), serial.n_blocks());
-  EXPECT_NEAR(m1.variance(), serial.variance(), 1e-10 * serial.variance());
-}
-
-TEST(ShardMerge, VtLevelMergeRejectsMidBlockLeftOperand) {
-  stats::VtLevelAccumulator a(10), b(10);
-  a.push(std::span<const double>(test_series(15, 10)));  // 15 % 10 != 0
-  b.push(std::span<const double>(test_series(20, 11)));
-  EXPECT_THROW(a.merge(b), std::logic_error);
-
-  // ... but merging an empty right operand into a mid-block left is fine
-  // (nothing to reorder), and merging into an on-boundary left works.
-  stats::VtLevelAccumulator empty(10);
-  EXPECT_NO_THROW(a.merge(empty));
-  stats::VtLevelAccumulator c(10);
-  c.push(std::span<const double>(test_series(20, 12)));
-  EXPECT_NO_THROW(c.merge(a));  // right operand may be mid-block
-}
-
-TEST(ShardMerge, VtAccumulatorMergeMatchesSerialAndRoundTrips) {
-  // Explicit lcm-friendly levels: a split at 6000 is a block boundary
-  // for every one of them. (The default log-spaced levels share no
-  // practical common boundary — which is exactly why the sharded
-  // pipeline merges bin counts and computes VT serially on the merged
-  // series instead of merging VT state mid-stream; VtAccumulator::merge
-  // serves segment-parallel workloads that choose aligned splits.)
-  const std::vector<double> x = test_series(12000, 13);
-  const std::vector<std::size_t> levels = {1, 2, 4, 5, 10, 20, 50, 100};
-  constexpr std::size_t kSplit = 6000;
-
-  stats::VtAccumulator serial(levels);
-  serial.push(std::span<const double>(x));
-
-  stats::VtAccumulator a(levels), b(levels);
-  a.push(std::span<const double>(x).subspan(0, kSplit));
-  b.push(std::span<const double>(x).subspan(kSplit));
-  a.merge(b);
-
-  const stats::VarianceTimePlot ps = serial.finish();
-  const stats::VarianceTimePlot pm = a.finish();
-  ASSERT_EQ(pm.points.size(), ps.points.size());
-  for (std::size_t i = 0; i < ps.points.size(); ++i) {
-    EXPECT_EQ(pm.points[i].m, ps.points[i].m);
-    EXPECT_EQ(pm.points[i].n_blocks, ps.points[i].n_blocks);
-    EXPECT_NEAR(pm.points[i].variance, ps.points[i].variance,
-                1e-9 * ps.points[i].variance);
-  }
-  // Integer-valued counts: partial sums are exact, so base_mean matches
-  // bit for bit despite the different add grouping.
-  EXPECT_EQ(pm.base_mean, ps.base_mean);
-
-  // Snapshot round trip preserves finish() bits.
-  const stats::VtAccumulator c =
-      stats::VtAccumulator::from_snapshot(a.snapshot());
-  const stats::VarianceTimePlot pc = c.finish();
-  ASSERT_EQ(pc.points.size(), pm.points.size());
-  for (std::size_t i = 0; i < pm.points.size(); ++i) {
-    EXPECT_EQ(pc.points[i].variance, pm.points[i].variance);
-    EXPECT_EQ(pc.points[i].n_blocks, pm.points[i].n_blocks);
-  }
-  EXPECT_EQ(pc.base_mean, pm.base_mean);
-}
-
-TEST(ShardMerge, AveragedPeriodogramMergeIsDeterministicAndAccurate) {
-  const std::vector<double> x = test_series(4096, 14);
-  constexpr std::size_t kSeg = 1024;
-
-  fft::AveragedPeriodogram serial(kSeg);
-  for (std::size_t i = 0; i < x.size(); i += kSeg)
-    serial.push(std::span<const double>(x).subspan(i, kSeg));
-
-  auto fold = [&] {
-    fft::AveragedPeriodogram a(kSeg), b(kSeg);
-    a.push(std::span<const double>(x).subspan(0, kSeg));
-    a.push(std::span<const double>(x).subspan(kSeg, kSeg));
-    b.push(std::span<const double>(x).subspan(2 * kSeg, kSeg));
-    b.push(std::span<const double>(x).subspan(3 * kSeg, kSeg));
-    a.merge(b);
-    return a;
-  };
-  const fft::Periodogram m1 = fold().finish();
-  const fft::Periodogram m2 = fold().finish();
-  const fft::Periodogram ps = serial.finish();
-
-  EXPECT_EQ(m1.ordinate, m2.ordinate);  // fixed fold order => same bits
-  ASSERT_EQ(m1.ordinate.size(), ps.ordinate.size());
-  for (std::size_t i = 0; i < ps.ordinate.size(); ++i)
-    EXPECT_NEAR(m1.ordinate[i], ps.ordinate[i], 1e-12 * ps.ordinate[i]);
-  EXPECT_EQ(m1.frequency, ps.frequency);
-
-  // Snapshot round trip is exact.
-  fft::AveragedPeriodogram c =
-      fft::AveragedPeriodogram::from_snapshot(serial.snapshot());
-  EXPECT_EQ(c.finish().ordinate, ps.ordinate);
-}
-
-// --- Shard routing and the end-to-end byte-identity invariant -----------
+// --- Per-shard synthesis and the end-to-end byte-identity invariant ----
 
 synth::PacketDatasetConfig shard_test_config() {
   synth::PacketDatasetConfig cfg =
@@ -307,95 +154,15 @@ synth::PacketDatasetConfig shard_test_config() {
   return cfg;
 }
 
-TEST(ShardRouter, PartitionCoversEveryRowExactlyOnce) {
-  synth::StreamingPacketSynthesizer synth(shard_test_config());
-  stream::ColumnsFromRows columns(synth);
-  const stream::PacketColumns all = stream::collect_columns(columns);
-
-  std::vector<stream::PacketColumns> parts;
-  stream::partition_packets(all, 7, parts);
-  std::size_t total = 0;
-  for (std::size_t s = 0; s < parts.size(); ++s) {
-    for (std::size_t i = 0; i < parts[s].size(); ++i)
-      EXPECT_EQ(stream::shard_of(parts[s].conn_id[i], 7), s);
-    total += parts[s].size();
-  }
-  EXPECT_EQ(total, all.size());
-}
-
-TEST(ShardRouter, RoutedSubStreamsPreserveOrderAtAnyThreadCount) {
+// Per-shard synthesis: shard s regenerates exactly its own connections
+// and runs its own filter stack; the merged analysis matches the serial
+// bytes under every combination of the filters (protocol × orig-data ×
+// outlier removal — the outlier case exercises the per-shard two-pass
+// scan). The serial stream is synthesized once and replayed from a
+// column table.
+TEST(ShardPipeline, PerShardSynthesisIsByteIdenticalToSerial) {
   const auto cfg = shard_test_config();
-  for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    par::set_thread_count(threads);
-    synth::StreamingPacketSynthesizer synth(cfg);
-    stream::ColumnsFromRows columns(synth);
-    stream::ShardRouter router({/*n_shards=*/4, /*queue_chunks=*/2});
-    std::vector<std::vector<double>> times(4);
-    router.route(columns,
-                 [&](std::size_t s, const stream::PacketColumns& chunk) {
-                   times[s].insert(times[s].end(), chunk.time.begin(),
-                                   chunk.time.end());
-                 });
-    // Each shard's sub-stream is time-ordered (the upstream is), and
-    // all rows arrive somewhere.
-    std::size_t total = 0;
-    for (const auto& ts : times) {
-      total += ts.size();
-      for (std::size_t i = 1; i < ts.size(); ++i)
-        ASSERT_LE(ts[i - 1], ts[i]);
-    }
-    EXPECT_GT(total, 0u);
-  }
-  par::set_thread_count(1);
-}
-
-// Whole-stream analysis of a row source (serial or sharded, per
-// opt.shards) through the columnar adapter.
-stream::PipelineResult analyze_rows(stream::PacketChunkSource& rows,
-                                      const stream::PipelineOptions& opt) {
-  stream::ColumnsFromRows columns(rows);
-  return stream::analyze_columns(columns, opt);
-}
-
-// The tentpole invariant: sharded == serial, byte for byte, at shard
-// counts 1/4/7 and thread counts 1/4.
-TEST(ShardPipeline, SynthesizedRoutedShardingIsByteIdenticalToSerial) {
-  const auto cfg = shard_test_config();
-  stream::PipelineOptions opt;
-  opt.bin = 0.5;
-
-  synth::StreamingPacketSynthesizer serial_src(cfg);
-  const stream::PipelineResult serial = analyze_rows(serial_src, opt);
-  const std::string want = stream::vt_csv(serial);
-  ASSERT_GT(serial.packets, 0u);
-
-  for (std::size_t shards : {std::size_t{1}, std::size_t{4}, std::size_t{7}}) {
-    for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-      par::set_thread_count(threads);
-      synth::StreamingPacketSynthesizer src(cfg);
-      opt.shards = shards;
-      const stream::PipelineResult sharded = analyze_rows(src, opt);
-      EXPECT_EQ(sharded.packets, serial.packets)
-          << shards << " shards, " << threads << " threads";
-      EXPECT_EQ(sharded.counts, serial.counts);
-      EXPECT_EQ(sharded.info.name, serial.info.name);
-      EXPECT_EQ(stream::vt_csv(sharded), want);
-      EXPECT_EQ(sharded.burst_lull.burst_lengths,
-                serial.burst_lull.burst_lengths);
-      EXPECT_EQ(sharded.count_moments.variance_sample(),
-                serial.count_moments.variance_sample());
-    }
-  }
-  par::set_thread_count(1);
-}
-
-// Same invariant under every combination of the filter stack
-// (protocol × orig-data × outlier removal): the sharded consumers run
-// the filter sources' own kernels and name suffixes, and the outlier
-// case exercises the sharded two-pass scan. The stream is synthesized
-// once and replayed from a column table.
-TEST(ShardPipeline, FilteredShardingIsByteIdenticalToSerial) {
-  synth::StreamingPacketSynthesizer synth(shard_test_config());
+  synth::StreamingPacketSynthesizer synth(cfg);
   stream::ColumnsFromRows columns(synth);
   const stream::StreamInfo info = columns.info();
   const stream::PacketColumns table = stream::collect_columns(columns);
@@ -419,45 +186,18 @@ TEST(ShardPipeline, FilteredShardingIsByteIdenticalToSerial) {
                      std::to_string(shards) + " shards, " +
                      std::to_string(threads) + " threads");
         par::set_thread_count(threads);
-        stream::ColumnTableSource src(table, info);
-        stream::PipelineOptions sharded_opt = opt;
-        sharded_opt.shards = shards;
-        const stream::PipelineResult sharded =
-            stream::analyze_columns(src, sharded_opt);
+        const stream::PipelineResult sharded = stream::analyze_sharded_sources(
+            [&](std::size_t s) -> std::unique_ptr<stream::PacketChunkSource> {
+              return std::make_unique<synth::StreamingPacketSynthesizer>(
+                  cfg, stream::kDefaultChunkSize,
+                  synth::SynthShard{s, shards});
+            },
+            shards, opt);
         EXPECT_EQ(sharded.packets, serial.packets);
         EXPECT_EQ(sharded.counts, serial.counts);
         EXPECT_EQ(sharded.info.name, serial.info.name);
         EXPECT_EQ(stream::vt_csv(sharded), want);
       }
-    }
-  }
-  par::set_thread_count(1);
-}
-
-// Per-shard synthesis: shard s regenerates exactly its own connections;
-// the merged analysis matches the serial bytes without any router.
-TEST(ShardPipeline, PerShardSynthesisIsByteIdenticalToSerial) {
-  const auto cfg = shard_test_config();
-  stream::PipelineOptions opt;
-  opt.bin = 0.5;
-
-  synth::StreamingPacketSynthesizer serial_src(cfg);
-  const stream::PipelineResult serial = analyze_rows(serial_src, opt);
-  const std::string want = stream::vt_csv(serial);
-
-  for (std::size_t shards : {std::size_t{1}, std::size_t{4}, std::size_t{7}}) {
-    for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-      par::set_thread_count(threads);
-      const stream::PipelineResult sharded = stream::analyze_sharded_sources(
-          [&](std::size_t s) -> std::unique_ptr<stream::PacketChunkSource> {
-            return std::make_unique<synth::StreamingPacketSynthesizer>(
-                cfg, stream::kDefaultChunkSize, synth::SynthShard{s, shards});
-          },
-          shards, opt);
-      EXPECT_EQ(sharded.packets, serial.packets)
-          << shards << " shards, " << threads << " threads";
-      EXPECT_EQ(sharded.counts, serial.counts);
-      EXPECT_EQ(stream::vt_csv(sharded), want);
     }
   }
   par::set_thread_count(1);
@@ -484,269 +224,6 @@ TEST(ShardSynth, ShardsPartitionTheSerialRecordSet) {
       ASSERT_EQ(stream::shard_of(r.conn_id, kShards), s);
   }
   EXPECT_EQ(total, want.size());
-}
-
-// Ingested capture: routing the pcap-derived packet stream across
-// shards reproduces the serial analysis bytes (the 4-tuple flow hash
-// keys the shard, via the conn ids the flow table assigned).
-TEST(ShardPipeline, IngestedPcapShardingIsByteIdenticalToSerial) {
-  stream::PipelineOptions opt;
-  opt.bin = 0.1;
-
-  ingest::MmapPcapPacketSource serial_src(fixture("tiny_le.pcap"),
-                                          ingest::ParseMode::kStrict);
-  const stream::PipelineResult serial = analyze_rows(serial_src, opt);
-  const std::string want = stream::vt_csv(serial);
-  ASSERT_GT(serial.packets, 0u);
-
-  for (std::size_t shards : {std::size_t{4}, std::size_t{7}}) {
-    ingest::MmapPcapPacketSource src(fixture("tiny_le.pcap"),
-                                     ingest::ParseMode::kStrict);
-    opt.shards = shards;
-    const stream::PipelineResult sharded = analyze_rows(src, opt);
-    EXPECT_EQ(sharded.packets, serial.packets);
-    EXPECT_EQ(sharded.counts, serial.counts);
-    EXPECT_EQ(stream::vt_csv(sharded), want);
-  }
-}
-
-// A source whose next() runs a parallel region, as sharded flow
-// reconstruction does. The pump thread helps drain the pool while it
-// waits there, so a shard consumer must never be a pool task it could
-// pick up: run on the pump, a consumer waits forever for chunks only
-// the pump can push.
-class ParallelRegionSource final : public stream::PacketColumnSource {
- public:
-  explicit ParallelRegionSource(stream::PacketColumnSource& inner)
-      : inner_(&inner) {}
-  const stream::StreamInfo& info() const override { return inner_->info(); }
-  bool next(stream::PacketColumns& chunk) override {
-    par::parallel_for(0, 4, 1, [](std::size_t, std::size_t) {});
-    return inner_->next(chunk);
-  }
-  void reset() override { inner_->reset(); }
-
- private:
-  stream::PacketColumnSource* inner_;
-};
-
-TEST(ShardRouter, PumpInsideAParallelRegionDoesNotDeadlock) {
-  stream::PacketColumns table;
-  for (std::uint32_t i = 0; i < 64; ++i) {
-    trace::PacketRecord r;
-    r.time = 0.01 * i;
-    r.conn_id = i + 1;
-    table.push_back(r);
-  }
-  for (std::size_t threads : {std::size_t{2}, std::size_t{4}}) {
-    par::set_thread_count(threads);
-    for (int rep = 0; rep < 50; ++rep) {
-      stream::ColumnTableSource rows(table, {"t", 0.0, 1.0}, 16);
-      ParallelRegionSource source(rows);
-      stream::ShardRouter router({/*n_shards=*/2, /*queue_chunks=*/1});
-      std::vector<std::size_t> seen(2, 0);
-      router.route(source, [&](std::size_t s, const stream::PacketColumns& c) {
-        seen[s] += c.size();
-      });
-      ASSERT_EQ(seen[0] + seen[1], table.size());
-    }
-  }
-  par::set_thread_count(1);
-}
-
-TEST(ShardRouter, RejectsZeroAndOversizedShardCounts) {
-  EXPECT_THROW(stream::ShardRouter({0, 2}), std::invalid_argument);
-  EXPECT_THROW(stream::ShardRouter({stream::ShardRouter::kMaxShards + 1, 2}),
-               std::invalid_argument);
-  EXPECT_NO_THROW(stream::ShardRouter({1, 2}));
-}
-
-// --- Sharded flow reconstruction (src/ingest) ---------------------------
-
-bool same_record(const trace::PacketRecord& a, const trace::PacketRecord& b) {
-  return a.time == b.time && a.protocol == b.protocol &&
-         a.conn_id == b.conn_id && a.from_originator == b.from_originator &&
-         a.payload_bytes == b.payload_bytes;
-}
-
-ingest::RawPacket raw_pkt(double t, std::uint32_t src, std::uint32_t dst,
-                          std::uint16_t sport, std::uint16_t dport, bool tcp,
-                          std::uint8_t flags, std::uint32_t payload) {
-  ingest::RawPacket p;
-  p.time = t;
-  p.src_ip = src;
-  p.dst_ip = dst;
-  p.src_port = sport;
-  p.dst_port = dport;
-  p.tcp = tcp;
-  p.tcp_flags = flags;
-  p.payload_bytes = payload;
-  return p;
-}
-
-// A synthetic capture exercising the flow-table state machine across
-// many host pairs: SYN/FIN teardown, RST, UDP, an FTP control+data
-// session, and an idle-timeout reopen of the same 4-tuple.
-std::vector<ingest::RawPacket> synthetic_capture() {
-  std::vector<ingest::RawPacket> pkts;
-  std::mt19937_64 rng(99);
-  std::uniform_int_distribution<std::uint32_t> host(1, 40);
-  std::uniform_int_distribution<std::uint16_t> port(1024, 60000);
-  double t = 0.0;
-  // Background TCP conversations, several packets each.
-  for (int c = 0; c < 120; ++c) {
-    const std::uint32_t a = host(rng), b = host(rng) + 100;
-    const std::uint16_t pa = port(rng);
-    const std::uint16_t pb = static_cast<std::uint16_t>(23 + (c % 5));
-    pkts.push_back(raw_pkt(t += 0.01, a, b, pa, pb, true, ingest::kTcpSyn, 0));
-    for (int k = 0; k < 4; ++k) {
-      pkts.push_back(raw_pkt(t += 0.01, a, b, pa, pb, true, ingest::kTcpAck,
-                             40 + 10 * k));
-      pkts.push_back(
-          raw_pkt(t += 0.01, b, a, pb, pa, true, ingest::kTcpAck, 200));
-    }
-    const std::uint8_t finack = ingest::kTcpFin | ingest::kTcpAck;
-    if (c % 7 == 0) {
-      pkts.push_back(raw_pkt(t += 0.01, b, a, pb, pa, true, ingest::kTcpRst, 0));
-    } else {
-      pkts.push_back(raw_pkt(t += 0.01, a, b, pa, pb, true, finack, 0));
-      pkts.push_back(raw_pkt(t += 0.01, b, a, pb, pa, true, finack, 0));
-    }
-    // Sprinkle UDP between other pairs.
-    pkts.push_back(raw_pkt(t += 0.01, host(rng), host(rng) + 200, port(rng),
-                           53, false, 0, 64));
-  }
-  // FTP control + data between one host pair (same-shard by routing).
-  pkts.push_back(raw_pkt(t += 0.5, 7, 300, 4000, 21, true, ingest::kTcpSyn, 0));
-  pkts.push_back(raw_pkt(t += 0.1, 300, 7, 20, 4001, true, ingest::kTcpSyn, 0));
-  pkts.push_back(raw_pkt(t += 0.1, 300, 7, 20, 4001, true, ingest::kTcpAck,
-                         1460));
-  // Idle-timeout reopen: the same 4-tuple comes back two hours later
-  // and must get a fresh conn id in serial and sharded tables alike.
-  pkts.push_back(raw_pkt(t += 0.1, 8, 301, 5000, 79, true, ingest::kTcpAck,
-                         100));
-  pkts.push_back(raw_pkt(t + 7200.0, 8, 301, 5000, 79, true, ingest::kTcpAck,
-                         100));
-  return pkts;
-}
-
-TEST(ShardIngest, IngestStatsMergeAddsEveryCounter) {
-  ingest::IngestStats a;
-  a.records = 1;
-  a.bytes = 2;
-  a.bad_headers = 3;
-  a.truncated_records = 4;
-  a.oversized_records = 5;
-  a.bad_lines = 6;
-  a.out_of_order = 7;
-  a.skipped_frames = 8;
-  a.short_captures = 9;
-  a.unknown_transports = 10;
-  a.unknown_protocols = 11;
-  a.missing_fields = 12;
-  ingest::IngestStats b = a;
-  b.records = 100;
-  a.merge(b);
-  EXPECT_EQ(a.records, 101u);
-  EXPECT_EQ(a.bytes, 4u);
-  EXPECT_EQ(a.bad_headers, 6u);
-  EXPECT_EQ(a.truncated_records, 8u);
-  EXPECT_EQ(a.oversized_records, 10u);
-  EXPECT_EQ(a.bad_lines, 12u);
-  EXPECT_EQ(a.out_of_order, 14u);
-  EXPECT_EQ(a.skipped_frames, 16u);
-  EXPECT_EQ(a.short_captures, 18u);
-  EXPECT_EQ(a.unknown_transports, 20u);
-  EXPECT_EQ(a.unknown_protocols, 22u);
-  EXPECT_EQ(a.missing_fields, 24u);
-  EXPECT_EQ(a.structural_errors(), 6u + 8 + 10 + 12 + 14);
-}
-
-// The ingest-side tentpole invariant: per-shard flow tables emit the
-// serial table's records bit-for-bit — same conn ids, same protocol
-// classification, same reopen decisions — at any shard count, thread
-// count, and batch boundary placement.
-TEST(ShardIngest, ShardedFlowTableMatchesSerialOnSyntheticStream) {
-  const std::vector<ingest::RawPacket> pkts = synthetic_capture();
-
-  ingest::FlowTableConfig cfg;
-  cfg.collect_connections = false;
-  ingest::FlowTable serial(cfg);
-  std::vector<trace::PacketRecord> want;
-  want.reserve(pkts.size());
-  for (const ingest::RawPacket& p : pkts) want.push_back(serial.add(p));
-
-  for (std::size_t shards : {std::size_t{1}, std::size_t{3}, std::size_t{5}}) {
-    for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-      for (std::size_t batch : {pkts.size(), std::size_t{37}}) {
-        par::set_thread_count(threads);
-        ingest::ShardedFlowTable table(shards, cfg);
-        std::vector<trace::PacketRecord> got, chunk;
-        for (std::size_t at = 0; at < pkts.size(); at += batch) {
-          const std::size_t len = std::min(batch, pkts.size() - at);
-          table.add_batch({pkts.data() + at, len}, chunk);
-          got.insert(got.end(), chunk.begin(), chunk.end());
-        }
-        ASSERT_EQ(got.size(), want.size());
-        for (std::size_t i = 0; i < want.size(); ++i)
-          ASSERT_TRUE(same_record(got[i], want[i]))
-              << "record " << i << " at " << shards << " shards, " << threads
-              << " threads, batch " << batch;
-        EXPECT_EQ(table.connections_seen(), serial.connections_seen());
-        // open_flows is a monitoring count, not part of the output
-        // contract: a shard's idle sweep runs on its own clock, so
-        // shards that saw no recent packets keep idle flows open
-        // longer than the serial table would.
-        EXPECT_GE(table.open_flows(), serial.open_flows());
-        EXPECT_EQ(table.merged_ledger().records, pkts.size());
-      }
-    }
-  }
-  par::set_thread_count(1);
-}
-
-// Source-level twin: the sharded pcap source emits the serial source's
-// chunk stream byte-for-byte, reports the reader's ledger, and its
-// per-shard record ledgers merge to the reader's record count.
-TEST(ShardIngest, ShardedPacketSourceMatchesSerialSource) {
-  ingest::MmapPcapPacketSource serial(fixture("tiny_le.pcap"),
-                                      ingest::ParseMode::kStrict);
-  const trace::PacketTrace want = stream::collect(serial);
-  ASSERT_GT(want.size(), 0u);
-
-  for (std::size_t shards : {std::size_t{2}, std::size_t{5}}) {
-    for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-      par::set_thread_count(threads);
-      ingest::ShardedMmapPcapPacketSource src(
-          fixture("tiny_le.pcap"), ingest::ParseMode::kStrict, shards);
-      EXPECT_EQ(src.info().name, serial.info().name);
-      const trace::PacketTrace got = stream::collect(src);
-      ASSERT_EQ(got.size(), want.size());
-      for (std::size_t i = 0; i < want.size(); ++i)
-        ASSERT_TRUE(same_record(got.records()[i], want.records()[i]))
-            << "record " << i << " at " << shards << " shards";
-      EXPECT_EQ(src.stats().records, serial.stats().records);
-      EXPECT_EQ(src.flow_table().merged_ledger().records,
-                src.stats().records);
-      EXPECT_EQ(src.flow_table().shard_ledgers().size(), shards);
-
-      // reset() rebuilds identical ids, like the serial source.
-      src.reset();
-      const trace::PacketTrace again = stream::collect(src);
-      ASSERT_EQ(again.size(), want.size());
-      for (std::size_t i = 0; i < want.size(); ++i)
-        ASSERT_TRUE(same_record(again.records()[i], want.records()[i]));
-    }
-  }
-  par::set_thread_count(1);
-}
-
-TEST(ShardIngest, RejectsBadShardCounts) {
-  EXPECT_THROW(ingest::ShardedFlowTable(0), std::invalid_argument);
-  EXPECT_THROW(
-      ingest::ShardedFlowTable(ingest::ShardedFlowTable::kMaxShards + 1),
-      std::invalid_argument);
-  EXPECT_NO_THROW(ingest::ShardedFlowTable(1));
 }
 
 TEST(ShardSynth, RejectsInvalidShardSpec) {

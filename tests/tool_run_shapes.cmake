@@ -1,7 +1,7 @@
 # Tool-level run-shape parity for wantraffic_analyze pkt: one synthesized
-# trace, analyzed batch, --stream and --shards 3 --threads 2, each
-# unfiltered and --filtered, must print the same "count process:" report
-# block and write the same --vt-csv bytes within each filter setting.
+# trace, analyzed batch and --stream, each unfiltered and --filtered,
+# must print the same "count process:" report block and write the same
+# --vt-csv bytes within each filter setting.
 # Registered by tests/CMakeLists.txt (ctest label `stream`); by hand:
 #
 #   cmake -DSYNTH=build/tools/wantraffic_synth \
@@ -51,22 +51,18 @@ foreach(filter "" --filtered)
   endif()
   run_shape(${tag_prefix}_batch ${filter})
   run_shape(${tag_prefix}_stream --stream ${filter})
-  run_shape(${tag_prefix}_sharded --shards 3 --threads 2 ${filter})
-  foreach(shape stream sharded)
-    set(want ${tag_prefix}_batch)
-    set(got ${tag_prefix}_${shape})
-    if(NOT report_${got} STREQUAL report_${want})
-      message(FATAL_ERROR "${got} report differs from ${want}:\n"
-                          "${report_${got}}\nvs\n${report_${want}}")
-    endif()
-    execute_process(
-      COMMAND "${CMAKE_COMMAND}" -E compare_files
-              "${WORK}/${got}.csv" "${WORK}/${want}.csv"
-      RESULT_VARIABLE differ)
-    if(NOT differ EQUAL 0)
-      message(FATAL_ERROR "${got}.csv differs from ${want}.csv")
-    endif()
-  endforeach()
+  set(want ${tag_prefix}_batch)
+  set(got ${tag_prefix}_stream)
+  if(NOT report_${got} STREQUAL report_${want})
+    message(FATAL_ERROR "${got} report differs from ${want}:\n"
+                        "${report_${got}}\nvs\n${report_${want}}")
+  endif()
+  execute_process(
+    COMMAND "${CMAKE_COMMAND}" -E compare_files
+            "${WORK}/${got}.csv" "${WORK}/${want}.csv"
+    RESULT_VARIABLE differ)
+  if(NOT differ EQUAL 0)
+    message(FATAL_ERROR "${got}.csv differs from ${want}.csv")
+  endif()
 endforeach()
-message(STATUS "batch, --stream and --shards agree, with and without "
-               "--filtered")
+message(STATUS "batch and --stream agree, with and without --filtered")

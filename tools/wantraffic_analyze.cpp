@@ -21,20 +21,16 @@
 // (a capture out of time order falls back to the eager prescan +
 // analysis); every other run is analyze_columns. --stream is accepted
 // and changes nothing there. The bytes out are the same either way.
+// Every --ingest-format reads FILE "-" (stdin) and named FIFOs too:
+// the input is spooled to a rewindable temp file first.
 //
 // For this repo's own trace files, --stream runs the packet analysis
 // through the chunked columnar pipeline (src/stream): the file is never
 // materialized in memory, yet the results — including the --vt-csv
 // figure file — are byte-identical to the batch path's.
 //
-// --shards N (pkt mode, implies --stream) fans the analysis — and,
-// with --ingest-format, flow reconstruction itself — across N
-// flow-hash shards (--threads M sets the worker count; at 1 the shards
-// run inline).
-// Sharded output is byte-identical to the serial path at every shard
-// and thread count; see src/stream/shard.hpp for the contract.
-// --shards contradicts conn mode (connection closure order is not
-// shard-invariant) and is rejected there, as is --shards 0.
+// --threads N sizes the src/par pool the Hurst battery's estimators run
+// on; the report is byte-identical at every thread count.
 //
 // --window W (pkt mode) switches to the incremental sliding-window
 // engine (src/stream/window_analyzer.hpp): one report row per --slide S
@@ -43,9 +39,8 @@
 // rolling periodogram, optionally an aggregation sweep
 // (--sweep-levels) and a windowed Appendix-A verdict
 // (--poisson-interval I). --window-csv FILE writes the rows as a
-// figure CSV. The engine is single-stream by design, so --window
-// rejects --shards and the whole-stream-only --filtered/--vt-csv
-// outputs with reasoned messages.
+// figure CSV. --window rejects the whole-stream-only --filtered and
+// --vt-csv outputs with reasoned messages.
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -81,8 +76,7 @@ int usage() {
                "[--protocol NAME] [--binary]\n"
                "                         [--filtered] [--vt-csv FILE] "
                "[--stream] [--chunk N]\n"
-               "                         [--shards N (implies --stream)] "
-               "[--threads N]\n"
+               "                         [--threads N]\n"
                "                         [--window SEC [--slide SEC] "
                "[--segment-bins N]\n"
                "                          [--sweep-levels N] "
@@ -92,7 +86,7 @@ int usage() {
                "[--lenient]\n"
                "  pkt mode streams every --ingest-format run (--stream "
                "is implied)\n"
-               "  FILE may be - (stdin) with --ingest-format pcap\n");
+               "  FILE may be - (stdin) with --ingest-format\n");
   return 2;
 }
 
@@ -125,10 +119,6 @@ void print_ingest_ledger(const ingest::IngestStats& stats) {
 }
 
 int run_conn(const std::string& path, const tools::ArgParser& args) {
-  if (args.given("--shards"))
-    throw std::invalid_argument(
-        "--shards applies to pkt mode only: connection closure order is "
-        "not shard-invariant");
   trace::ConnTrace tr;
   if (const auto format = ingest_format(args)) {
     ingest::IngestStats stats;
@@ -241,10 +231,6 @@ std::optional<stream::WindowedOptions> windowed_options(
                                     "engine: pass --window SECONDS");
     return std::nullopt;
   }
-  args.reject_together("--window", "--shards",
-                       "the sliding-window engine emits one time-ordered "
-                       "report stream; shard-merge of windowed state is a "
-                       "library-level operation");
   args.reject_together("--window", "--filtered",
                        "the windowed engine has no streaming outlier pass; "
                        "use --protocol to restrict the stream");
@@ -266,7 +252,6 @@ std::optional<stream::WindowedOptions> windowed_options(
 
 int run_pkt(const std::string& path, const tools::ArgParser& args) {
   stream::PipelineOptions opt;
-  opt.shards = args.count("--shards", 1, 1);
   opt.bin = args.number("--bin", opt.bin);
   if (const std::string* proto_s = args.value("--protocol")) {
     const auto p = trace::protocol_from_string(*proto_s);
@@ -283,13 +268,11 @@ int run_pkt(const std::string& path, const tools::ArgParser& args) {
   const auto windowed = windowed_options(args, opt);
 
   if (const auto format = ingest_format(args)) {
-    ingest::IngestOptions iopt = ingest_options(args);
-    iopt.shards = opt.shards;  // shard flow reconstruction too
-    // Serial whole-stream pcap analysis skips the prescan: one decode
-    // pass learns the time range as it bins, with the eager two-pass
-    // path as the fallback for a capture out of time order.
-    if (*format == ingest::IngestFormat::kPcap && !windowed &&
-        opt.shards == 1) {
+    const ingest::IngestOptions iopt = ingest_options(args);
+    // Whole-stream pcap analysis skips the prescan: one decode pass
+    // learns the time range as it bins, with the eager two-pass path as
+    // the fallback for a capture out of time order.
+    if (*format == ingest::IngestFormat::kPcap && !windowed) {
       ingest::PcapColumnSource src(path, iopt.mode, iopt.flow,
                                    iopt.chunk_size,
                                    ingest::Prescan::kDeferred);
@@ -302,7 +285,7 @@ int run_pkt(const std::string& path, const tools::ArgParser& args) {
                            args);
   }
 
-  if (windowed || args.has("--stream") || opt.shards > 1) {
+  if (windowed || args.has("--stream")) {
     const std::size_t chunk =
         args.count("--chunk", stream::kDefaultChunkSize, 1);
     std::unique_ptr<stream::PacketChunkSource> rows;
@@ -341,7 +324,6 @@ int main(int argc, char** argv) {
   args.add_option("--protocol");
   args.add_option("--vt-csv");
   args.add_option("--chunk");
-  args.add_option("--shards");
   args.add_option("--threads");
   args.add_option("--window");
   args.add_option("--slide");
