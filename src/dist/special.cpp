@@ -9,11 +9,6 @@ double normal_cdf(double x) noexcept {
   return 0.5 * std::erfc(-x / std::sqrt(2.0));
 }
 
-double normal_pdf(double x) noexcept {
-  static const double kInvSqrt2Pi = 0.3989422804014327;
-  return kInvSqrt2Pi * std::exp(-0.5 * x * x);
-}
-
 double normal_quantile(double p) noexcept {
   if (!(p > 0.0 && p < 1.0)) {
     if (p <= 0.0) return -std::numeric_limits<double>::infinity();
@@ -60,64 +55,8 @@ double normal_quantile(double p) noexcept {
   return x;
 }
 
-namespace {
-
-// Series expansion of P(a, x), valid and fast for x < a + 1.
-double gamma_p_series(double a, double x) {
-  double term = 1.0 / a;
-  double sum = term;
-  double ap = a;
-  for (int i = 0; i < 1000; ++i) {
-    ap += 1.0;
-    term *= x / ap;
-    sum += term;
-    if (std::abs(term) < std::abs(sum) * 1e-16) break;
-  }
-  return sum * std::exp(-x + a * std::log(x) - std::lgamma(a));
-}
-
-// Continued fraction for Q(a, x) = 1 - P(a, x), for x >= a + 1
-// (modified Lentz's method).
-double gamma_q_contfrac(double a, double x) {
-  const double tiny = 1e-300;
-  double b = x + 1.0 - a;
-  double c = 1.0 / tiny;
-  double d = 1.0 / b;
-  double h = d;
-  for (int i = 1; i <= 1000; ++i) {
-    const double an = -static_cast<double>(i) * (static_cast<double>(i) - a);
-    b += 2.0;
-    d = an * d + b;
-    if (std::abs(d) < tiny) d = tiny;
-    c = b + an / c;
-    if (std::abs(c) < tiny) c = tiny;
-    d = 1.0 / d;
-    const double delta = d * c;
-    h *= delta;
-    if (std::abs(delta - 1.0) < 1e-16) break;
-  }
-  return h * std::exp(-x + a * std::log(x) - std::lgamma(a));
-}
-
-}  // namespace
-
-double regularized_gamma_p(double a, double x) {
-  if (!(a > 0.0) || x < 0.0)
-    return std::numeric_limits<double>::quiet_NaN();
-  if (x == 0.0) return 0.0;
-  if (x < a + 1.0) return gamma_p_series(a, x);
-  return 1.0 - gamma_q_contfrac(a, x);
-}
-
-double chi_square_cdf(double x, double k) {
-  if (x <= 0.0) return 0.0;
-  return regularized_gamma_p(k / 2.0, x / 2.0);
-}
-
-double chi_square_sf(double x, double k) {
-  if (x <= 0.0) return 1.0;
-  if (x < k + 2.0) return 1.0 - regularized_gamma_p(k / 2.0, x / 2.0);
-  return gamma_q_contfrac(k / 2.0, x / 2.0);
+double standard_normal(rng::Rng& rng) {
+  return normal_quantile(rng.uniform01_open_below());
 }
 
 }  // namespace wan::dist

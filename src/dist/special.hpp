@@ -1,7 +1,10 @@
 // Special functions needed by the distribution library: the standard
 // normal CDF/quantile used by the log-normal distribution and by
-// confidence intervals in wan::stats.
+// confidence intervals in wan::stats, and the standard normal sampler
+// the Gaussian generators in wan::selfsim draw from.
 #pragma once
+
+#include "src/rng/rng.hpp"
 
 namespace wan::dist {
 
@@ -13,18 +16,8 @@ double normal_cdf(double x) noexcept;
 /// p must lie in (0,1).
 double normal_quantile(double p) noexcept;
 
-/// Standard normal density phi(x).
-double normal_pdf(double x) noexcept;
-
-/// Regularized lower incomplete gamma P(a, x) = gamma(a, x) / Gamma(a),
-/// a > 0, x >= 0. Series for x < a + 1, continued fraction otherwise
-/// (Numerical-Recipes style); |error| < 1e-12 over the tested range.
-double regularized_gamma_p(double a, double x);
-
-/// Chi-square CDF with k degrees of freedom: P(k/2, x/2).
-double chi_square_cdf(double x, double k);
-
-/// Upper tail of the chi-square distribution.
-double chi_square_sf(double x, double k);
+/// One standard normal variate by inverse transform (monotone in the
+/// driving uniform, which keeps common-random-number experiments paired).
+double standard_normal(rng::Rng& rng);
 
 }  // namespace wan::dist

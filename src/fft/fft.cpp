@@ -140,18 +140,6 @@ std::vector<double> irfft(std::span<const cd> half_spectrum, std::size_t n) {
   return out;
 }
 
-std::vector<cd> fft_real(std::span<const double> data) {
-  const std::size_t n = data.size();
-  if (n == 0) return {};
-  const auto half = rfft(data);
-  std::vector<cd> out(n);
-  for (std::size_t k = 0; k < half.size(); ++k) out[k] = half[k];
-  // Conjugate mirror for the strictly negative frequencies.
-  for (std::size_t k = 1; k <= n - half.size(); ++k)
-    out[n - k] = std::conj(half[k]);
-  return out;
-}
-
 std::vector<double> circular_autocorrelation(std::span<const double> x) {
   const std::size_t n = x.size();
   if (n == 0) return {};

@@ -52,10 +52,6 @@ std::vector<cd> rfft(std::span<const double> data, double subtract = 0.0);
 /// as Hermitian symmetry forces them to zero.
 std::vector<double> irfft(std::span<const cd> half_spectrum, std::size_t n);
 
-/// FFT of real input; returns the full complex spectrum of length n
-/// (computed via rfft plus the conjugate mirror for even n).
-std::vector<cd> fft_real(std::span<const double> data);
-
 /// Circular autocorrelation sums via FFT:
 ///   r[k] = sum_i x[i] * x[(i+k) mod n].
 /// Callers that want linear (non-circular) sums should zero-pad first.

@@ -110,11 +110,6 @@ void AveragedPeriodogram::push(std::span<const double> x) {
   ++segments_;
 }
 
-AveragedPeriodogramSnapshot AveragedPeriodogram::snapshot() const {
-  return {static_cast<std::uint64_t>(segment_length_),
-          static_cast<std::uint64_t>(segments_), ordinate_sum_};
-}
-
 AveragedPeriodogram AveragedPeriodogram::from_snapshot(
     const AveragedPeriodogramSnapshot& s) {
   AveragedPeriodogram acc(static_cast<std::size_t>(s.segment_length));

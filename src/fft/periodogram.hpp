@@ -107,7 +107,6 @@ class AveragedPeriodogram {
   std::size_t segment_length() const { return segment_length_; }
   std::size_t segments() const { return segments_; }
 
-  AveragedPeriodogramSnapshot snapshot() const;
   static AveragedPeriodogram from_snapshot(
       const AveragedPeriodogramSnapshot& s);
 

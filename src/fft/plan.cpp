@@ -63,13 +63,6 @@ class LruCache {
     return {hits_, misses_, order_.size()};
   }
 
-  void clear() {
-    std::lock_guard<std::mutex> lock(mu_);
-    order_.clear();
-    index_.clear();
-    hits_ = misses_ = 0;
-  }
-
  private:
   using Entry = std::pair<Key, std::shared_ptr<const Value>>;
 
@@ -121,13 +114,6 @@ FftPlan::FftPlan(std::size_t n) : n_(n) {
       table[k] = cd(std::cos(a), std::sin(a));
     }
   }
-}
-
-std::span<const cd> FftPlan::stage_twiddles(std::size_t len) const {
-  if (len < 2 || len > n_ || !is_power_of_two(len))
-    throw std::invalid_argument("FftPlan::stage_twiddles: bad stage");
-  const std::size_t half = len / 2;
-  return {stages_.data() + (half - 1), half};
 }
 
 void FftPlan::transform(std::span<cd> data, bool inverse) const {
@@ -292,10 +278,5 @@ std::shared_ptr<const RfftPlan> rfft_plan_for(std::size_t n) {
 PlanCacheStats plan_cache_stats() { return plan_cache().stats(); }
 
 PlanCacheStats rfft_plan_cache_stats() { return rfft_plan_cache().stats(); }
-
-void reset_plan_caches() {
-  plan_cache().clear();
-  rfft_plan_cache().clear();
-}
 
 }  // namespace wan::fft

@@ -44,11 +44,6 @@ class FftPlan {
   /// the unitary convention).
   void inverse(std::span<cd> data) const { transform(data, true); }
 
-  /// Twiddle table of the stage with butterfly span `len` (a power of
-  /// two in [2, size()]): entries w_len^k = exp(-2*pi*i*k/len) for
-  /// k in [0, len/2). Exposed for the rfft unpack path and for tests.
-  std::span<const cd> stage_twiddles(std::size_t len) const;
-
  private:
   void transform(std::span<cd> data, bool inverse) const;
 
@@ -106,9 +101,5 @@ struct PlanCacheStats {
 
 PlanCacheStats plan_cache_stats();        ///< complex-plan cache
 PlanCacheStats rfft_plan_cache_stats();   ///< real-plan cache
-
-/// Drops all cached plans and zeroes the counters (tests only; safe at
-/// any time because callers hold shared_ptrs).
-void reset_plan_caches();
 
 }  // namespace wan::fft

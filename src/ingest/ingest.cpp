@@ -12,15 +12,6 @@ std::optional<IngestFormat> ingest_format_from_string(
   return std::nullopt;
 }
 
-const char* to_string(IngestFormat format) noexcept {
-  switch (format) {
-    case IngestFormat::kPcap: return "pcap";
-    case IngestFormat::kLblConn: return "lbl-conn";
-    case IngestFormat::kLblPkt: return "lbl-pkt";
-  }
-  return "?";
-}
-
 std::unique_ptr<IngestPacketSource> open_packet_source(
     const std::string& path, IngestFormat format, const IngestOptions& opt) {
   switch (format) {

@@ -23,8 +23,6 @@ enum class IngestFormat : std::uint8_t {
 std::optional<IngestFormat> ingest_format_from_string(
     std::string_view s) noexcept;
 
-const char* to_string(IngestFormat format) noexcept;
-
 struct IngestOptions {
   ParseMode mode = ParseMode::kStrict;
   std::size_t chunk_size = stream::kDefaultChunkSize;

@@ -36,7 +36,7 @@
 // (sources keep their reader for their own lifetime), and RawPackets
 // copy every field out of the mapped bytes — nothing downstream holds
 // a pointer into the file, so source/reset/destruction ordering cannot
-// dangle. See DESIGN.md §14.
+// dangle. See DESIGN.md §13.
 #pragma once
 
 #include <cstddef>

@@ -79,7 +79,6 @@ class PacketSourceImpl final : public IngestPacketSource {
   void reset() override;
 
   const IngestStats& stats() const override { return reader_.stats(); }
-  const FlowTable& flow_table() const { return table_; }
 
  private:
   Reader reader_;
@@ -121,7 +120,6 @@ class PcapColumnSource final : public IngestColumnSource {
   void reset() override;
 
   const IngestStats& stats() const override { return reader_.stats(); }
-  const FlowTable& flow_table() const { return table_; }
 
   /// True until a deferred prescan has been replaced by a real one.
   bool info_deferred() const { return deferred_; }
@@ -189,7 +187,6 @@ class FlowConnSource final : public IngestConnSource {
   void reset() override;
 
   const IngestStats& stats() const override { return reader_.stats(); }
-  const FlowTable& flow_table() const { return table_; }
 
  private:
   Reader reader_;

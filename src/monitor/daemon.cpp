@@ -198,12 +198,9 @@ void MonitorDaemon::install_signal_handlers() {
   sigemptyset(&sa.sa_mask);
   sa.sa_handler = handle_stop_signal;
   sa.sa_flags = 0;  // no SA_RESTART: blocking reads wake with EINTR
+  g_stop.store(false, std::memory_order_relaxed);
   sigaction(SIGINT, &sa, nullptr);
   sigaction(SIGTERM, &sa, nullptr);
-}
-
-void MonitorDaemon::reset_signal_stop() {
-  g_stop.store(false, std::memory_order_relaxed);
 }
 
 MonitorDaemon::MonitorDaemon(MonitorOptions options)

@@ -75,10 +75,10 @@ class MonitorDaemon {
   const std::atomic<bool>* stop_flag() const { return &stop_; }
 
   /// Routes SIGINT/SIGTERM to a process-wide stop flag every daemon
-  /// checks. No SA_RESTART: a tail blocked in read() wakes with EINTR.
+  /// checks, and clears the flag, so a process that raise()s more than
+  /// once re-arms by calling this again. No SA_RESTART: a tail blocked
+  /// in read() wakes with EINTR.
   static void install_signal_handlers();
-  /// Clears the process-wide flag (tests raise() repeatedly).
-  static void reset_signal_stop();
 
  private:
   struct Sinks;  // engines' drift trackers + output plumbing

@@ -20,16 +20,6 @@ constexpr std::size_t kFillTarget = std::size_t{4} << 20;
 
 }  // namespace
 
-const char* to_string(PollStatus s) noexcept {
-  switch (s) {
-    case PollStatus::kProgress: return "progress";
-    case PollStatus::kCaughtUp: return "caught-up";
-    case PollStatus::kEndOfStream: return "end-of-stream";
-    case PollStatus::kCorrupt: return "corrupt";
-  }
-  return "?";
-}
-
 TailPcapSource::TailPcapSource(const std::string& path,
                                ingest::ParseMode mode)
     : path_(path), mode_(mode) {

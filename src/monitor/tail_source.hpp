@@ -52,8 +52,6 @@ enum class PollStatus {
   kCorrupt,
 };
 
-const char* to_string(PollStatus s) noexcept;
-
 class TailPcapSource {
  public:
   /// Opens `path` for following; "-" follows standard input as a pipe.

@@ -33,12 +33,6 @@ std::uint64_t Rng::uniform_int(std::uint64_t n) noexcept {
   return static_cast<std::uint64_t>(m >> 64);
 }
 
-Rng Rng::split() noexcept {
-  Rng parent_copy(gen_);
-  gen_.jump();
-  return parent_copy;
-}
-
 Rng Rng::child(std::string_view label) noexcept {
   return Rng(next_u64() ^ hash_label(label));
 }

@@ -2,9 +2,8 @@
 //
 // All stochastic components in wantraffic draw from an Rng passed in by the
 // caller, never from hidden global state, so every experiment is exactly
-// reproducible from its seed. Independent sub-streams (one per traffic
-// source, say) are created with split(), which uses Xoshiro256++'s 2^128
-// jump so streams cannot overlap in any realistic run.
+// reproducible from its seed. Named sub-streams (one per traffic source,
+// say) are derived with child().
 #pragma once
 
 #include <cstdint>
@@ -14,9 +13,9 @@
 
 namespace wan::rng {
 
-/// Uniform random source with convenient double helpers and stream
-/// splitting. Cheap to copy; copies continue from the same state (use
-/// split() for independent streams).
+/// Uniform random source with convenient double helpers and labelled
+/// child streams. Cheap to copy; copies continue from the same state (use
+/// child() for a distinct stream).
 class Rng {
  public:
   using result_type = std::uint64_t;
@@ -49,21 +48,12 @@ class Rng {
   /// Bernoulli trial with success probability p.
   bool bernoulli(double p) noexcept { return uniform01() < p; }
 
-  /// Returns a new Rng whose stream is separated from this one by a 2^128
-  /// jump. The parent keeps its (jumped) position, so repeated split()
-  /// calls yield mutually non-overlapping children.
-  Rng split() noexcept;
-
   /// Derives a deterministic child seeded from this stream plus a label
   /// hash; handy for naming per-component streams ("telnet", "ftp", ...)
-  /// without threading splits through call sites.
+  /// without threading streams through call sites.
   Rng child(std::string_view label) noexcept;
 
-  const Xoshiro256& generator() const noexcept { return gen_; }
-
  private:
-  explicit Rng(const Xoshiro256& gen) noexcept : gen_(gen) {}
-
   Xoshiro256 gen_;
 };
 

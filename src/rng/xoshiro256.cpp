@@ -31,38 +31,4 @@ std::uint64_t Xoshiro256::next() noexcept {
   return result;
 }
 
-namespace {
-
-// Applies one of the published jump polynomials to the generator state.
-template <std::size_t N>
-void apply_jump(Xoshiro256& gen, std::array<std::uint64_t, 4>& s,
-                const std::uint64_t (&poly)[N]) noexcept {
-  std::array<std::uint64_t, 4> acc{0, 0, 0, 0};
-  for (std::uint64_t word : poly) {
-    for (int b = 0; b < 64; ++b) {
-      if (word & (1ULL << b)) {
-        for (int i = 0; i < 4; ++i) acc[static_cast<std::size_t>(i)] ^= gen.state()[static_cast<std::size_t>(i)];
-      }
-      gen.next();
-    }
-  }
-  s = acc;
-}
-
-}  // namespace
-
-void Xoshiro256::jump() noexcept {
-  static constexpr std::uint64_t kJump[] = {
-      0x180ec6d33cfd0abaULL, 0xd5a61266f0c9392cULL, 0xa9582618e03fc9aaULL,
-      0x39abdc4529b1661cULL};
-  apply_jump(*this, s_, kJump);
-}
-
-void Xoshiro256::long_jump() noexcept {
-  static constexpr std::uint64_t kLongJump[] = {
-      0x76e15d3efefdcbbfULL, 0xc5004e441c522fb3ULL, 0x77710069854ee241ULL,
-      0x39109bb02acbe635ULL};
-  apply_jump(*this, s_, kLongJump);
-}
-
 }  // namespace wan::rng

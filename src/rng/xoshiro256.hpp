@@ -1,6 +1,5 @@
 // Xoshiro256++ 1.0, the all-purpose 64-bit generator of Blackman &
-// Vigna (https://prng.di.unimi.it/). 256 bits of state, period 2^256-1,
-// with jump() / long_jump() for creating independent streams.
+// Vigna (https://prng.di.unimi.it/). 256 bits of state, period 2^256-1.
 #pragma once
 
 #include <array>
@@ -18,25 +17,12 @@ class Xoshiro256 {
   /// as recommended by the authors (avoids correlated low-entropy states).
   explicit Xoshiro256(std::uint64_t seed = 0x9d2c5680u) noexcept;
 
-  /// Constructs from a full 256-bit state. The state must not be all zero.
-  explicit Xoshiro256(const std::array<std::uint64_t, 4>& state) noexcept
-      : s_(state) {}
-
   std::uint64_t next() noexcept;
 
   // std::uniform_random_bit_generator interface.
   std::uint64_t operator()() noexcept { return next(); }
   static constexpr std::uint64_t min() noexcept { return 0; }
   static constexpr std::uint64_t max() noexcept { return ~0ULL; }
-
-  /// Advances the state by 2^128 steps; use to partition one seed into up
-  /// to 2^128 non-overlapping streams.
-  void jump() noexcept;
-
-  /// Advances the state by 2^192 steps (streams of streams).
-  void long_jump() noexcept;
-
-  const std::array<std::uint64_t, 4>& state() const noexcept { return s_; }
 
  private:
   std::array<std::uint64_t, 4> s_;

@@ -2,7 +2,7 @@
 
 #include <stdexcept>
 
-#include "src/dist/normal.hpp"
+#include "src/dist/special.hpp"
 #include "src/par/parallel.hpp"
 #include "src/selfsim/chunk_rng.hpp"
 

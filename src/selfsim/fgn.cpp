@@ -9,7 +9,7 @@
 #include <stdexcept>
 #include <utility>
 
-#include "src/dist/normal.hpp"
+#include "src/dist/special.hpp"
 #include "src/fft/fft.hpp"
 #include "src/par/parallel.hpp"
 #include "src/selfsim/chunk_rng.hpp"
@@ -133,14 +133,6 @@ FgnEigenCacheStats fgn_eigen_cache_stats() {
   return {cache.hits, cache.misses, cache.order.size()};
 }
 
-void reset_fgn_eigen_cache() {
-  EigenCache& cache = eigen_cache();
-  std::lock_guard<std::mutex> lock(cache.mu);
-  cache.order.clear();
-  cache.index.clear();
-  cache.hits = cache.misses = 0;
-}
-
 std::vector<double> generate_fgn(rng::Rng& rng, std::size_t n, double hurst,
                                  double sigma) {
   if (n == 0) return {};
@@ -191,17 +183,6 @@ std::vector<double> generate_fgn(rng::Rng& rng, std::size_t n, double hurst,
   const double scale = sigma * std::sqrt(static_cast<double>(m));
   for (std::size_t i = 0; i < n; ++i) out[i] = x[i] * scale;
   return out;
-}
-
-std::vector<double> generate_fbm(rng::Rng& rng, std::size_t n, double hurst,
-                                 double sigma) {
-  auto fgn = generate_fgn(rng, n, hurst, sigma);
-  double cum = 0.0;
-  for (double& v : fgn) {
-    cum += v;
-    v = cum;
-  }
-  return fgn;
 }
 
 }  // namespace wan::selfsim

@@ -37,10 +37,6 @@ double fgn_autocovariance(std::size_t lag, double hurst);
 std::vector<double> generate_fgn(rng::Rng& rng, std::size_t n, double hurst,
                                  double sigma = 1.0);
 
-/// Fractional Brownian motion: cumulative sum of fGn (convenience).
-std::vector<double> generate_fbm(rng::Rng& rng, std::size_t n, double hurst,
-                                 double sigma = 1.0);
-
 /// Eigenvalues of the power-of-two circulant embedding used for n-point
 /// generation: the real FFT of the covariance circle
 ///   c = [g(0) .. g(M/2), g(M/2 - 1) .. g(1)],  M = next_pow2(2 (n - 1)),
@@ -58,6 +54,5 @@ struct FgnEigenCacheStats {
   std::size_t entries = 0;
 };
 FgnEigenCacheStats fgn_eigen_cache_stats();
-void reset_fgn_eigen_cache();
 
 }  // namespace wan::selfsim

@@ -7,20 +7,6 @@
 
 namespace wan::sim {
 
-std::vector<double> fifo_wait_times(std::span<const double> arrivals,
-                                    std::span<const double> services) {
-  if (arrivals.size() != services.size())
-    throw std::invalid_argument("fifo_wait_times: size mismatch");
-  std::vector<double> waits(arrivals.size(), 0.0);
-  for (std::size_t i = 1; i < arrivals.size(); ++i) {
-    const double gap = arrivals[i] - arrivals[i - 1];
-    if (gap < 0.0)
-      throw std::invalid_argument("fifo_wait_times: arrivals not sorted");
-    waits[i] = std::max(0.0, waits[i - 1] + services[i - 1] - gap);
-  }
-  return waits;
-}
-
 QueueStats simulate_fifo(std::span<const double> arrivals,
                          const std::function<double(std::size_t)>& service,
                          std::size_t buffer_packets) {

@@ -2,11 +2,9 @@
 // paper's Section IV claim that exponential interarrivals "significantly
 // underestimate performance measures such as average packet delay".
 //
-// Two forms:
-//  * Lindley recursion for the infinite-buffer single-server queue
-//    (exact, fast);
-//  * an event-driven finite-buffer variant that also reports drops and
-//    queue-length dynamics.
+// A finite-buffer single-server queue that reports delays, drops and
+// queue-length dynamics (the tests check it against Lindley's recursion
+// on an infinite buffer).
 #pragma once
 
 #include <cstdint>
@@ -17,13 +15,6 @@
 #include "src/stats/descriptive.hpp"
 
 namespace wan::sim {
-
-/// Waiting times (time in queue, excluding own service) for a FIFO
-/// single-server queue fed by sorted `arrivals`, where packet i needs
-/// `services[i]` seconds of service. Lindley's recursion:
-///   W_0 = 0;  W_{i+1} = max(0, W_i + S_i - (A_{i+1} - A_i)).
-std::vector<double> fifo_wait_times(std::span<const double> arrivals,
-                                    std::span<const double> services);
 
 /// Summary of a queueing run.
 struct QueueStats {

@@ -87,120 +87,4 @@ TcpTrace simulate_tcp_transfer(std::size_t n_packets,
   return trace;
 }
 
-namespace {
-
-struct Flow {
-  double cwnd = 1.0;
-  double ssthresh = 64.0;
-  double queue = 0.0;       // this flow's packets in the shared buffer
-  double credit = 0.0;      // fractional service carried between rounds
-  std::size_t remaining = 0;
-  std::size_t delivered = 0;
-  double completion = -1.0;
-};
-
-}  // namespace
-
-TcpShared simulate_tcp_shared(std::size_t n_flows, std::size_t n_packets,
-                              const TcpConfig& config) {
-  TcpShared out;
-  if (n_flows == 0) return out;
-
-  const double per_round_capacity = config.bottleneck_rate * config.rtt;
-  if (!(per_round_capacity > 0.0))
-    throw std::invalid_argument("simulate_tcp_shared: zero capacity");
-
-  std::vector<Flow> flows(n_flows);
-  for (Flow& f : flows) {
-    f.ssthresh = config.initial_ssthresh;
-    f.remaining = n_packets;
-  }
-
-  double t = 0.0;
-  std::size_t active = n_flows;
-
-  for (std::size_t round = 0; round < config.max_rounds && active > 0;
-       ++round) {
-    // Offered load this round: standing queues plus self-clocked new
-    // packets per flow.
-    double offered = 0.0;
-    std::vector<double> flow_offer(n_flows, 0.0);
-    for (std::size_t i = 0; i < n_flows; ++i) {
-      Flow& f = flows[i];
-      const double new_pkts =
-          std::min(static_cast<double>(f.remaining),
-                   std::max(0.0, f.cwnd - f.queue));
-      f.remaining -= static_cast<std::size_t>(new_pkts);
-      flow_offer[i] = f.queue + new_pkts;
-      offered += flow_offer[i];
-    }
-
-    const double drained = std::min(offered, per_round_capacity);
-    const double share = offered > 0.0 ? drained / offered : 0.0;
-    const double backlog = offered - drained;
-    const bool congested =
-        backlog > static_cast<double>(config.buffer_packets);
-    // If the buffer overflows, leftovers shrink proportionally and the
-    // overflow is dropped (to be resent).
-    const double keep =
-        congested && backlog > 0.0
-            ? static_cast<double>(config.buffer_packets) / backlog
-            : 1.0;
-
-    std::size_t emitted = 0;
-    for (std::size_t i = 0; i < n_flows; ++i) {
-      Flow& f = flows[i];
-      if (flow_offer[i] <= 0.0) {
-        // Nothing in flight; still update the idle window gently.
-        continue;
-      }
-      const double served = flow_offer[i] * share;
-      const double leftover = (flow_offer[i] - served) * keep;
-      const double dropped = (flow_offer[i] - served) - leftover;
-      f.queue = leftover;
-      f.remaining += static_cast<std::size_t>(std::ceil(dropped));
-
-      // Deliveries: fractional accounting, emitted when a whole packet
-      // accumulates (no service leaks between rounds).
-      f.credit += served;
-      const auto whole = static_cast<std::size_t>(f.credit);
-      f.credit -= static_cast<double>(whole);
-      const std::size_t grant =
-          std::min<std::size_t>(whole, n_packets - f.delivered);
-      for (std::size_t k = 0; k < grant; ++k) {
-        out.aggregate_departures.push_back(
-            t + config.rtt * static_cast<double>(emitted + k + 1) /
-                    std::max(1.0, drained));
-      }
-      emitted += grant;
-      f.delivered += grant;
-      if (f.delivered >= n_packets && f.completion < 0.0) {
-        f.completion = t + config.rtt;
-        --active;
-      }
-
-      // Window update.
-      if (congested && dropped > 0.0) {
-        f.ssthresh = std::max(2.0, f.cwnd / 2.0);
-        f.cwnd = f.ssthresh;
-      } else if (f.cwnd < f.ssthresh) {
-        f.cwnd = std::min(f.cwnd * 2.0, f.ssthresh);
-      } else {
-        f.cwnd += 1.0;
-      }
-    }
-    t += config.rtt;
-  }
-
-  std::sort(out.aggregate_departures.begin(), out.aggregate_departures.end());
-  for (const Flow& f : flows) {
-    const double done = f.completion < 0.0 ? t : f.completion;
-    out.completion_times.push_back(done);
-    out.mean_rates.push_back(done > 0.0
-                                 ? static_cast<double>(f.delivered) / done
-                                 : 0.0);
-  }
-  return out;
-}
-
 }  // namespace wan::sim

@@ -41,18 +41,4 @@ struct TcpTrace {
 TcpTrace simulate_tcp_transfer(std::size_t n_packets,
                                const TcpConfig& config = {});
 
-/// Simulates `n_flows` concurrent transfers sharing one bottleneck, each
-/// with `n_packets` to move; returns the aggregate departure process and
-/// per-flow completion times. Demonstrates the rate heterogeneity of
-/// Section VII ("different FTP connections have quite different average
-/// rates").
-struct TcpShared {
-  std::vector<double> aggregate_departures;
-  std::vector<double> completion_times;
-  std::vector<double> mean_rates;  ///< per-flow achieved packets/s
-};
-
-TcpShared simulate_tcp_shared(std::size_t n_flows, std::size_t n_packets,
-                              const TcpConfig& config = {});
-
 }  // namespace wan::sim

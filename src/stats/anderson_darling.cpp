@@ -9,6 +9,8 @@
 
 namespace wan::stats {
 
+namespace {
+
 double anderson_darling_from_sorted_probs(std::span<const double> p_sorted) {
   const std::size_t n = p_sorted.size();
   if (n < 2)
@@ -27,14 +29,6 @@ double anderson_darling_from_sorted_probs(std::span<const double> p_sorted) {
   return -dn - s / dn;
 }
 
-double anderson_darling_uniform(std::span<const double> z) {
-  std::vector<double> p(z.begin(), z.end());
-  std::sort(p.begin(), p.end());
-  return anderson_darling_from_sorted_probs(p);
-}
-
-namespace {
-
 struct CritRow {
   double alpha;
   double value;
@@ -46,13 +40,6 @@ struct CritRow {
 constexpr CritRow kExpCrit[] = {
     {0.25, 0.736}, {0.15, 0.916}, {0.10, 1.062},
     {0.05, 1.321}, {0.025, 1.591}, {0.01, 1.959},
-};
-
-// D'Agostino & Stephens (1986), Table 4.2: A^2 percentage points for a
-// fully specified null (case 0); valid for n >= 5 without modification.
-constexpr CritRow kCase0Crit[] = {
-    {0.15, 1.610}, {0.10, 1.933}, {0.05, 2.492},
-    {0.025, 3.070}, {0.01, 3.857},
 };
 
 double lookup(const CritRow* rows, std::size_t n, double alpha,
@@ -68,10 +55,6 @@ double lookup(const CritRow* rows, std::size_t n, double alpha,
 
 double ad_critical_exponential(double alpha) {
   return lookup(kExpCrit, std::size(kExpCrit), alpha, "exponential A^2");
-}
-
-double ad_critical_case0(double alpha) {
-  return lookup(kCase0Crit, std::size(kCase0Crit), alpha, "case-0 A^2");
 }
 
 AdResult ad_test_exponential(std::span<const double> x, double alpha) {
@@ -90,15 +73,6 @@ AdResult ad_test_exponential(std::span<const double> x, double alpha) {
   r.a2 = anderson_darling_from_sorted_probs(p);
   r.a2_modified = r.a2 * (1.0 + 0.6 / static_cast<double>(x.size()));
   r.critical = ad_critical_exponential(alpha);
-  r.pass = r.a2_modified <= r.critical;
-  return r;
-}
-
-AdResult ad_test_uniform(std::span<const double> z, double alpha) {
-  AdResult r;
-  r.a2 = anderson_darling_uniform(z);
-  r.a2_modified = r.a2;  // case 0 needs no modification for n >= 5
-  r.critical = ad_critical_case0(alpha);
   r.pass = r.a2_modified <= r.critical;
   return r;
 }

@@ -4,28 +4,15 @@
 // Kolmogorov-Smirnov and chi-square; it weights the tails heavily, which
 // is exactly where heavy-tailed interarrivals betray themselves.
 //
-// Two cases are provided:
-//  * fully-specified null CDF ("case 0"),
-//  * exponential with mean estimated from the data — the situation in
-//    Appendix A, which changes the significance points (D'Agostino &
-//    Stephens Table 4.14) and requires the small-sample modification
-//    A^2 * (1 + 0.6/n).
+// The null is exponential with mean estimated from the data — the
+// situation in Appendix A, which changes the significance points
+// (D'Agostino & Stephens Table 4.14) and requires the small-sample
+// modification A^2 * (1 + 0.6/n).
 #pragma once
 
-#include <algorithm>
 #include <span>
-#include <vector>
 
 namespace wan::stats {
-
-/// Raw A^2 statistic for sorted-or-not samples against a fully specified
-/// continuous CDF (callable double -> double).
-template <typename Cdf>
-double anderson_darling_statistic(std::span<const double> x, Cdf&& cdf);
-
-/// A^2 statistic against the uniform [0,1] law (z values must already be
-/// probability-transformed, need not be sorted).
-double anderson_darling_uniform(std::span<const double> z);
 
 /// Result of an A^2 test.
 struct AdResult {
@@ -40,25 +27,7 @@ struct AdResult {
 /// 0.01}. This is the Appendix A exponentiality test.
 AdResult ad_test_exponential(std::span<const double> x, double alpha = 0.05);
 
-/// Tests z (probability-transformed data) against uniformity with a fully
-/// specified null ("case 0"), at significance alpha in {0.15, 0.10, 0.05,
-/// 0.025, 0.01}.
-AdResult ad_test_uniform(std::span<const double> z, double alpha = 0.05);
-
 /// Critical value lookup (exposed for tests).
 double ad_critical_exponential(double alpha);
-double ad_critical_case0(double alpha);
-
-// ---- implementation of the template ----
-
-double anderson_darling_from_sorted_probs(std::span<const double> p_sorted);
-
-template <typename Cdf>
-double anderson_darling_statistic(std::span<const double> x, Cdf&& cdf) {
-  std::vector<double> p(x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) p[i] = cdf(x[i]);
-  std::sort(p.begin(), p.end());
-  return anderson_darling_from_sorted_probs(p);
-}
 
 }  // namespace wan::stats

@@ -59,9 +59,4 @@ double lag1_bias(std::size_t n) {
   return n == 0 ? 0.0 : -1.0 / static_cast<double>(n);
 }
 
-bool passes_lag1_independence(std::span<const double> x) {
-  if (x.size() < 2) return true;
-  return std::abs(lag1_autocorrelation(x)) <= lag1_threshold(x.size());
-}
-
 }  // namespace wan::stats

@@ -18,11 +18,8 @@ std::vector<double> autocorrelation(std::span<const double> x,
 double lag1_autocorrelation(std::span<const double> x);
 
 /// Appendix A's magnitude criterion: for an i.i.d. (white) series of
-/// length n, |r(1)| exceeds 1.96/sqrt(n) with probability ~5%. Returns
-/// true if the series *passes* (no significant lag-1 correlation).
-bool passes_lag1_independence(std::span<const double> x);
-
-/// The asymptotic 5% threshold itself.
+/// length n, |r(1)| exceeds this asymptotic 5% threshold, 1.96/sqrt(n),
+/// with probability ~5%.
 double lag1_threshold(std::size_t n);
 
 /// Small-sample bias of the sample autocorrelation of an i.i.d. series:

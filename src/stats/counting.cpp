@@ -67,14 +67,6 @@ void BinCountsAccumulator::add(std::span<const double> times) {
   }
 }
 
-void BinCountsAccumulator::merge(const BinCountsAccumulator& other) {
-  if (t0_ != other.t0_ || t1_ != other.t1_ || bin_ != other.bin_ ||
-      counts_.size() != other.counts_.size())
-    throw std::invalid_argument("BinCountsAccumulator::merge: grid mismatch");
-  for (std::size_t i = 0; i < counts_.size(); ++i)
-    counts_[i] += other.counts_[i];
-}
-
 SpeculativeBinCounts::SpeculativeBinCounts(double t0, double bin)
     : t0_(t0), bin_(bin) {
   if (!(bin > 0.0)) throw std::invalid_argument("bin_counts: bin must be > 0");

@@ -44,14 +44,6 @@ class BinCountsAccumulator {
   double t1() const { return t1_; }
   double bin() const { return bin_; }
 
-  /// Adds the other accumulator's counts bin by bin. Both must cover the
-  /// identical [t0, t1)/bin grid (throws std::invalid_argument
-  /// otherwise). Counts are exact integer adds, so merging per-shard
-  /// accumulators in ANY order or tree shape yields the same bits as one
-  /// accumulator fed every event — this is the exactness anchor the
-  /// sharded pipeline's byte-identity rests on.
-  void merge(const BinCountsAccumulator& other);
-
  private:
   double t0_ = 0.0;
   double t1_ = 0.0;
@@ -146,7 +138,7 @@ class BurstLullAccumulator {
   /// observations had been pushed here next. Run lengths are exact
   /// integer adds and the splice is pure concatenation (the boundary
   /// pair fusing when occupancy matches), so merge is truly associative:
-  /// any merge tree over an ordered shard partition of the series gives
+  /// any merge tree over an ordered bucket partition of the series gives
   /// the same bits as one serial pass — but only when each operand saw a
   /// contiguous slice and operands arrive in series order.
   void merge(const BurstLullAccumulator& other);

@@ -22,14 +22,6 @@ double variance(std::span<const double> x) {
   return ss / static_cast<double>(x.size() - 1);
 }
 
-double variance_population(std::span<const double> x) {
-  if (x.empty()) return 0.0;
-  const double m = mean(x);
-  double ss = 0.0;
-  for (double v : x) ss += (v - m) * (v - m);
-  return ss / static_cast<double>(x.size());
-}
-
 double stddev(std::span<const double> x) { return std::sqrt(variance(x)); }
 
 double geometric_mean(std::span<const double> x) {
@@ -41,11 +33,6 @@ double geometric_mean(std::span<const double> x) {
     log_sum += std::log(v);
   }
   return std::exp(log_sum / static_cast<double>(x.size()));
-}
-
-double min_value(std::span<const double> x) {
-  if (x.empty()) return std::numeric_limits<double>::quiet_NaN();
-  return *std::min_element(x.begin(), x.end());
 }
 
 double max_value(std::span<const double> x) {

@@ -16,17 +16,11 @@ double mean(std::span<const double> x);
 /// Unbiased sample variance (n-1 denominator); 0 if n < 2.
 double variance(std::span<const double> x);
 
-/// Population variance (n denominator); 0 for empty input. The paper's
-/// variance-time plots use the plain second moment of the smoothed
-/// series, which this matches asymptotically.
-double variance_population(std::span<const double> x);
-
 double stddev(std::span<const double> x);
 
 /// Geometric mean; requires all x > 0.
 double geometric_mean(std::span<const double> x);
 
-double min_value(std::span<const double> x);
 double max_value(std::span<const double> x);
 
 /// p-quantile (0 <= p <= 1) by linear interpolation of order statistics
@@ -133,8 +127,8 @@ class MomentAccumulator {
   /// Folds another accumulator's state into this one (Chan's parallel
   /// Welford combination). The result is a pure function of the two
   /// operand states — merging the same pair always yields the same bits
-  /// — so a reduction over shards is reproducible whenever the fold
-  /// order is fixed (shard 0 <- 1 <- 2 ...). It is NOT bit-equal to
+  /// — so a reduction over buckets is reproducible whenever the fold
+  /// order is fixed (bucket 0 <- 1 <- 2 ...). It is NOT bit-equal to
   /// having pushed the concatenated stream serially; agreement with
   /// that is to rounding, like everything Welford.
   void merge(const MomentAccumulator& other) {

@@ -47,23 +47,6 @@ std::vector<DispersionPoint> idc_curve(std::span<const double> counts,
   return curve;
 }
 
-std::vector<DispersionPoint> idi_curve(std::span<const double> interarrivals,
-                                       std::size_t max_windows) {
-  if (interarrivals.size() < 16)
-    throw std::invalid_argument("idi_curve: series too short");
-  const double mu = mean(interarrivals);
-  if (!(mu > 0.0))
-    throw std::invalid_argument("idi_curve: nonpositive mean interarrival");
-  std::vector<DispersionPoint> curve;
-  for (std::size_t m : block_sizes(interarrivals.size(), max_windows)) {
-    const auto sums = aggregate_sum(interarrivals, m);
-    if (sums.size() < 4) break;
-    curve.push_back({static_cast<double>(m),
-                     variance(sums) / (static_cast<double>(m) * mu * mu)});
-  }
-  return curve;
-}
-
 double idc_slope(std::span<const DispersionPoint> curve) {
   if (curve.size() < 4)
     throw std::invalid_argument("idc_slope: need >= 4 points");

@@ -1,6 +1,6 @@
-// Index of dispersion for counts (IDC) and for intervals (IDI) — the
-// burstiness measures of the pre-self-similarity literature (Fowler &
-// Leland [18] characterized congestion with IDC curves). Section VII's
+// Index of dispersion for counts (IDC) — the burstiness measure of the
+// pre-self-similarity literature (Fowler & Leland [18] characterized
+// congestion with IDC curves). Section VII's
 // point in these terms: for Poisson traffic IDC(t) is flat at 1; for
 // long-range dependent traffic it grows without bound as t^(2H-1).
 #pragma once
@@ -12,17 +12,12 @@ namespace wan::stats {
 
 struct DispersionPoint {
   double t = 0.0;      ///< window length (in base-bin units)
-  double index = 0.0;  ///< IDC(t) or IDI(n)
+  double index = 0.0;  ///< IDC(t)
 };
 
 /// IDC(t) = Var[N(t)] / E[N(t)] evaluated at log-spaced window sizes
 /// (multiples of the base bin). `counts` is the base count series.
 std::vector<DispersionPoint> idc_curve(std::span<const double> counts,
-                                       std::size_t max_windows = 30);
-
-/// IDI(n) = Var[sum of n consecutive interarrivals] /
-///          (n * mean(interarrival)^2), at log-spaced n.
-std::vector<DispersionPoint> idi_curve(std::span<const double> interarrivals,
                                        std::size_t max_windows = 30);
 
 /// Log-log slope of the IDC curve's upper half; ~0 for Poisson,

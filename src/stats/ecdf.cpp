@@ -1,7 +1,6 @@
 #include "src/stats/ecdf.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 namespace wan::stats {
@@ -16,64 +15,6 @@ double Ecdf::operator()(double x) const {
   const auto it = std::upper_bound(sorted_.begin(), sorted_.end(), x);
   return static_cast<double>(it - sorted_.begin()) /
          static_cast<double>(sorted_.size());
-}
-
-double Ecdf::quantile(double p) const {
-  if (p <= 0.0) return sorted_.front();
-  if (p >= 1.0) return sorted_.back();
-  const auto idx = static_cast<std::size_t>(
-      std::ceil(p * static_cast<double>(sorted_.size())) - 1.0);
-  return sorted_[std::min(idx, sorted_.size() - 1)];
-}
-
-std::vector<std::pair<double, double>> Ecdf::curve() const {
-  std::vector<std::pair<double, double>> pts;
-  const double n = static_cast<double>(sorted_.size());
-  for (std::size_t i = 0; i < sorted_.size(); ++i) {
-    if (i + 1 < sorted_.size() && sorted_[i + 1] == sorted_[i]) continue;
-    pts.emplace_back(sorted_[i], static_cast<double>(i + 1) / n);
-  }
-  return pts;
-}
-
-double ks_distance(std::span<const double> a, std::span<const double> b) {
-  if (a.empty() || b.empty())
-    throw std::invalid_argument("ks_distance: empty sample");
-  std::vector<double> sa(a.begin(), a.end()), sb(b.begin(), b.end());
-  std::sort(sa.begin(), sa.end());
-  std::sort(sb.begin(), sb.end());
-  double d = 0.0;
-  std::size_t i = 0, j = 0;
-  const double na = static_cast<double>(sa.size());
-  const double nb = static_cast<double>(sb.size());
-  while (i < sa.size() && j < sb.size()) {
-    // Advance past ties on both sides together, else the ECDF gap is
-    // evaluated mid-tie and spuriously inflated.
-    const double v = std::min(sa[i], sb[j]);
-    while (i < sa.size() && sa[i] == v) ++i;
-    while (j < sb.size() && sb[j] == v) ++j;
-    d = std::max(d, std::abs(static_cast<double>(i) / na -
-                             static_cast<double>(j) / nb));
-  }
-  return d;
-}
-
-Histogram histogram(std::span<const double> x, double lo, double hi,
-                    std::size_t bins) {
-  if (!(hi > lo) || bins == 0)
-    throw std::invalid_argument("histogram: bad bounds or bins");
-  Histogram h;
-  h.lo = lo;
-  h.hi = hi;
-  h.counts.assign(bins, 0.0);
-  const double w = (hi - lo) / static_cast<double>(bins);
-  for (double v : x) {
-    auto idx = static_cast<long>((v - lo) / w);
-    if (idx < 0) idx = 0;
-    if (idx >= static_cast<long>(bins)) idx = static_cast<long>(bins) - 1;
-    h.counts[static_cast<std::size_t>(idx)] += 1.0;
-  }
-  return h;
 }
 
 }  // namespace wan::stats

@@ -1,9 +1,7 @@
-// Empirical CDF / CCDF evaluation and histogramming, for the many
-// distribution comparisons in the paper (Figs. 3, 8, 9).
+// Empirical CDF evaluation, for the distribution comparisons in the
+// paper (Figs. 3 and 8).
 #pragma once
 
-#include <algorithm>
-#include <cmath>
 #include <span>
 #include <vector>
 
@@ -18,53 +16,8 @@ class Ecdf {
   /// F_n(x) = (#samples <= x) / n.
   double operator()(double x) const;
 
-  /// Empirical p-quantile (inverse ECDF, left-continuous).
-  double quantile(double p) const;
-
-  std::size_t size() const { return sorted_.size(); }
-  const std::vector<double>& sorted() const { return sorted_; }
-
-  /// (x, F(x)) evaluation points at every distinct sample, convenient for
-  /// plotting.
-  std::vector<std::pair<double, double>> curve() const;
-
  private:
   std::vector<double> sorted_;
 };
-
-/// Kolmogorov-Smirnov distance between two samples' ECDFs (used in tests
-/// to compare generated vs analytic laws).
-double ks_distance(std::span<const double> a, std::span<const double> b);
-
-/// One-sample KS distance between a sample and a CDF evaluated via a
-/// callable.
-template <typename Cdf>
-double ks_distance_to(std::span<const double> sample, Cdf&& cdf) {
-  Ecdf e(sample);
-  double d = 0.0;
-  const auto& s = e.sorted();
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    const double fx = cdf(s[i]);
-    const double lo = static_cast<double>(i) / static_cast<double>(s.size());
-    const double hi =
-        static_cast<double>(i + 1) / static_cast<double>(s.size());
-    d = std::max({d, std::abs(fx - lo), std::abs(fx - hi)});
-  }
-  return d;
-}
-
-/// Fixed-width histogram over [lo, hi); values outside are clamped into
-/// the end bins.
-struct Histogram {
-  double lo = 0.0;
-  double hi = 1.0;
-  std::vector<double> counts;
-  double bin_width() const {
-    return (hi - lo) / static_cast<double>(counts.size());
-  }
-};
-
-Histogram histogram(std::span<const double> x, double lo, double hi,
-                    std::size_t bins);
 
 }  // namespace wan::stats

@@ -1,8 +1,6 @@
 #include "src/stats/fitting.hpp"
 
-#include <cmath>
 #include <stdexcept>
-#include <vector>
 
 #include "src/stats/descriptive.hpp"
 
@@ -13,59 +11,6 @@ dist::Exponential fit_exponential(std::span<const double> x) {
   if (!(m > 0.0))
     throw std::invalid_argument("fit_exponential: nonpositive mean");
   return dist::Exponential(m);
-}
-
-dist::LogNormal fit_lognormal(std::span<const double> x) {
-  if (x.size() < 2)
-    throw std::invalid_argument("fit_lognormal: need >= 2 samples");
-  std::vector<double> logs;
-  logs.reserve(x.size());
-  for (double v : x) {
-    if (!(v > 0.0)) throw std::invalid_argument("fit_lognormal: requires x > 0");
-    logs.push_back(std::log(v));
-  }
-  const double mu = mean(logs);
-  const double sigma = stddev(logs);
-  if (!(sigma > 0.0))
-    throw std::invalid_argument("fit_lognormal: degenerate sample");
-  return dist::LogNormal(mu, sigma);
-}
-
-dist::LogExtreme fit_logextreme(std::span<const double> x) {
-  if (x.size() < 2)
-    throw std::invalid_argument("fit_logextreme: need >= 2 samples");
-  std::vector<double> z;  // log2 of the data
-  z.reserve(x.size());
-  for (double v : x) {
-    if (!(v > 0.0)) throw std::invalid_argument("fit_logextreme: requires x > 0");
-    z.push_back(std::log2(v));
-  }
-
-  // Gumbel MLE: solve for scale b the fixed-point equation
-  //   b = mean(z) - sum(z_i e^{-z_i/b}) / sum(e^{-z_i/b}),
-  // then location a = -b log( mean(e^{-z_i/b}) ).
-  const double zbar = mean(z);
-  double b = stddev(z) * std::sqrt(6.0) / M_PI;  // moment start
-  if (!(b > 0.0)) throw std::invalid_argument("fit_logextreme: degenerate sample");
-  for (int iter = 0; iter < 200; ++iter) {
-    double sw = 0.0, szw = 0.0;
-    for (double zi : z) {
-      const double w = std::exp(-zi / b);
-      sw += w;
-      szw += zi * w;
-    }
-    const double b_next = zbar - szw / sw;
-    if (!(b_next > 0.0)) break;
-    if (std::abs(b_next - b) < 1e-12 * (1.0 + b)) {
-      b = b_next;
-      break;
-    }
-    b = b_next;
-  }
-  double sw = 0.0;
-  for (double zi : z) sw += std::exp(-zi / b);
-  const double a = -b * std::log(sw / static_cast<double>(z.size()));
-  return dist::LogExtreme(a, b);
 }
 
 }  // namespace wan::stats

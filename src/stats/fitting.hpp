@@ -1,26 +1,14 @@
-// Parametric distribution fitting used in Section V: log-normal MLE for
-// connection sizes in packets, Gumbel/log-extreme fitting for sizes in
-// bytes, and exponential fitting for the straw-man comparisons.
+// Parametric fitting for the straw-man comparisons: the exponential a
+// Poisson model would assume (the Fig. 8 FTP spacing check).
 #pragma once
 
 #include <span>
 
 #include "src/dist/exponential.hpp"
-#include "src/dist/logextreme.hpp"
-#include "src/dist/lognormal.hpp"
 
 namespace wan::stats {
 
 /// MLE exponential fit (mean = sample mean). Requires positive mean.
 dist::Exponential fit_exponential(std::span<const double> x);
-
-/// MLE log-normal fit: mu/sigma are the mean/SD of log x. Requires all
-/// x > 0 and at least 2 distinct values.
-dist::LogNormal fit_lognormal(std::span<const double> x);
-
-/// Gumbel fit of log2 x by maximum likelihood (Newton iterations on the
-/// scale parameter, closed-form location given scale), giving the paper's
-/// log-extreme distribution. Requires all x > 0.
-dist::LogExtreme fit_logextreme(std::span<const double> x);
 
 }  // namespace wan::stats

@@ -24,19 +24,6 @@ HillEstimate hill_estimator(std::span<const double> x, std::size_t k) {
   return h;
 }
 
-double pareto_mle_shape(std::span<const double> x, double location) {
-  if (x.empty()) throw std::invalid_argument("pareto_mle_shape: empty sample");
-  double s = 0.0;
-  for (double v : x) {
-    if (!(v >= location))
-      throw std::invalid_argument("pareto_mle_shape: sample below location");
-    s += std::log(v / location);
-  }
-  if (s <= 0.0)
-    throw std::invalid_argument("pareto_mle_shape: degenerate sample");
-  return static_cast<double>(x.size()) / s;
-}
-
 CcdfTailFit ccdf_tail_fit(std::span<const double> x, double tail_fraction) {
   if (!(tail_fraction > 0.0 && tail_fraction <= 1.0))
     throw std::invalid_argument("ccdf_tail_fit: tail_fraction in (0,1]");

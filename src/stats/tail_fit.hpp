@@ -23,9 +23,6 @@ struct HillEstimate {
 
 HillEstimate hill_estimator(std::span<const double> x, std::size_t k);
 
-/// Pareto MLE with known location a: beta_hat = n / sum log(x_i / a).
-double pareto_mle_shape(std::span<const double> x, double location);
-
 /// Least-squares fit of the upper `tail_fraction` of the sample's CCDF on
 /// log-log axes: log10 P[X > x] ~ intercept - beta * log10 x. Robust,
 /// visualizable version of the Hill fit; matches the paper's "fits well to

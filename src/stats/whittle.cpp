@@ -399,11 +399,6 @@ WhittleRefitter::WhittleRefitter(std::span<const double> frequency,
 }
 
 WhittleRefitter::~WhittleRefitter() = default;
-WhittleRefitter::WhittleRefitter(WhittleRefitter&&) noexcept = default;
-WhittleRefitter& WhittleRefitter::operator=(WhittleRefitter&&) noexcept =
-    default;
-
-std::size_t WhittleRefitter::candidates() const { return impl_->h.size(); }
 
 WhittleResult WhittleRefitter::fit(const fft::Periodogram& pg,
                                    const WhittleOptions& options) {

@@ -106,8 +106,6 @@ class WhittleRefitter {
   explicit WhittleRefitter(std::span<const double> frequency,
                            double h_step = 2e-3);
   ~WhittleRefitter();
-  WhittleRefitter(WhittleRefitter&&) noexcept;
-  WhittleRefitter& operator=(WhittleRefitter&&) noexcept;
 
   /// Fits H for a periodogram on the SAME frequency grid the refitter
   /// was built for (throws std::invalid_argument otherwise — the tables
@@ -115,9 +113,6 @@ class WhittleRefitter {
   /// one analyzer share a grid, so one refitter serves them all.
   WhittleResult fit(const fft::Periodogram& pg,
                     const WhittleOptions& options = {});
-
-  /// Lattice candidates held (diagnostics / sizing).
-  std::size_t candidates() const;
 
  private:
   struct Impl;

@@ -86,15 +86,6 @@ bool ColumnFilterSource::next(PacketColumns& chunk) {
   return true;
 }
 
-ColumnFilterSource protocol_filter_columns(PacketColumnSource& inner,
-                                           trace::Protocol protocol) {
-  return ColumnFilterSource(inner, protocol, /*orig_data=*/false);
-}
-
-ColumnFilterSource originator_data_filter_columns(PacketColumnSource& inner) {
-  return ColumnFilterSource(inner, std::nullopt, /*orig_data=*/true);
-}
-
 ColumnBulkOutlierSource::ColumnBulkOutlierSource(PacketColumnSource& inner,
                                                  double max_bytes,
                                                  double max_rate)

@@ -48,14 +48,6 @@ class ColumnFilterSource final : public PacketColumnSource {
   std::vector<std::uint32_t> sel_;
 };
 
-/// Columnar PacketTrace::filter(protocol): name gains "/<protocol>".
-ColumnFilterSource protocol_filter_columns(PacketColumnSource& inner,
-                                           trace::Protocol protocol);
-
-/// Columnar PacketTrace::originator_data_packets(): name gains
-/// "/orig-data".
-ColumnFilterSource originator_data_filter_columns(PacketColumnSource& inner);
-
 /// Columnar PacketTrace::remove_bulk_outliers(). The outlier rule needs
 /// a connection's total bytes before deciding, so this is an explicit
 /// two-pass source: the first next() drains the upstream through

@@ -5,14 +5,11 @@
 #include <stdexcept>
 #include <utility>
 
-#include "src/par/parallel.hpp"
 #include "src/trace/packet_trace.hpp"
 
 namespace wan::stream {
 
 namespace {
-
-constexpr std::size_t kMaxShards = 1024;
 
 std::string fmt_double(double v) {
   char buf[40];
@@ -30,42 +27,6 @@ void require_series(const StreamInfo& info, double bin) {
   if (expected_bins(info, bin) < 16)
     throw std::invalid_argument("analyze_stream: series too short");
 }
-
-// One bin grid per shard over the serial time range. Bin increments are
-// exact integer adds into identical grids, so the shard-ordered merge in
-// finish() reproduces the serial accumulator's bits however the rows
-// were split — and with one shard it is the serial accumulator.
-class ShardCounts {
- public:
-  ShardCounts(const StreamInfo& info, double bin, std::size_t n_shards)
-      : info_(info), bin_(bin), packets_(n_shards, 0) {
-    bins_.reserve(n_shards);
-    for (std::size_t s = 0; s < n_shards; ++s)
-      bins_.emplace_back(info.t_begin, info.t_end, bin);
-  }
-
-  void drain(std::size_t shard, PacketColumnSource& source) {
-    PacketColumns chunk;
-    while (source.next(chunk)) {
-      packets_[shard] += chunk.size();
-      bins_[shard].add(std::span<const double>(chunk.time));
-    }
-  }
-
-  PipelineResult finish() {
-    for (std::size_t s = 1; s < bins_.size(); ++s) {
-      bins_[0].merge(bins_[s]);
-      packets_[0] += packets_[s];
-    }
-    return finish_counts(info_, bin_, packets_[0], bins_[0].take());
-  }
-
- private:
-  StreamInfo info_;
-  double bin_;
-  std::vector<stats::BinCountsAccumulator> bins_;
-  std::vector<std::uint64_t> packets_;
-};
 
 }  // namespace
 
@@ -88,42 +49,14 @@ PipelineResult analyze_columns(PacketColumnSource& source,
   FilterStack filters(source, options);
   const StreamInfo info = filters.top().info();
   require_series(info, options.bin);
-  ShardCounts counts(info, options.bin, 1);
-  counts.drain(0, filters.top());
-  return counts.finish();
-}
-
-PipelineResult analyze_sharded_sources(
-    const std::function<std::unique_ptr<PacketChunkSource>(std::size_t)>&
-        make_shard,
-    std::size_t n_shards, const PipelineOptions& options) {
-  if (n_shards == 0 || n_shards > kMaxShards)
-    throw std::invalid_argument(
-        "analyze_sharded_sources: n_shards must be in [1, " +
-        std::to_string(kMaxShards) + "]");
-
-  // Shard 0's info IS the serial info (the factory contract), so the
-  // bin grid and the derived name are fixed before any shard runs.
-  auto first = make_shard(0);
-  StreamInfo info = first->info();
-  info.name += filter_suffix(options.protocol, options.orig_data_only,
-                             options.remove_outliers);
-  require_series(info, options.bin);
-
-  // Each shard is fully independent — its own source, its own filter
-  // stack (including the outlier two-pass: the stack resets only this
-  // shard's source) — so a flat parallel_for over shards is enough.
-  // Grain 1: shards are the unit of work.
-  ShardCounts counts(info, options.bin, n_shards);
-  par::parallel_for(0, n_shards, 1, [&](std::size_t b, std::size_t e) {
-    for (std::size_t s = b; s < e; ++s) {
-      auto source = s == 0 ? std::move(first) : make_shard(s);
-      ColumnsFromRows columns(*source);
-      FilterStack filters(columns, options);
-      counts.drain(s, filters.top());
-    }
-  });
-  return counts.finish();
+  stats::BinCountsAccumulator bins(info.t_begin, info.t_end, options.bin);
+  std::uint64_t packets = 0;
+  PacketColumns chunk;
+  while (filters.top().next(chunk)) {
+    packets += chunk.size();
+    bins.add(std::span<const double>(chunk.time));
+  }
+  return finish_counts(info, options.bin, packets, bins.take());
 }
 
 PipelineResult finish_counts(StreamInfo info, double bin,

@@ -2,19 +2,15 @@
 // filters → binned counts → variance-time / moments / burst-lull, all
 // single-pass (the outlier filter's second pass excepted).
 //
-// analyze_columns is the one whole-stream analysis of a chunk source;
-// analyze_sharded_sources runs the same filters and bins per shard when
-// each shard generates its own sub-stream. analyze_batch is the
-// independent reference on an in-memory PacketTrace via the span-based
-// statistics. Both feed the identical
+// analyze_columns is the one whole-stream analysis of a chunk source.
+// analyze_batch is the independent reference on an in-memory
+// PacketTrace via the span-based statistics. Both feed the identical
 // accumulator arithmetic (VtLevelAccumulator, BinCounts, BurstLull), so
 // their results — and the figure CSVs rendered from them — are
 // byte-identical. The `stream`-labeled tests pin this.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -78,25 +74,6 @@ class FilterStack {
 /// passes).
 PipelineResult analyze_columns(PacketColumnSource& source,
                                const PipelineOptions& options = {});
-
-/// Per-shard-source form: shard s pulls from its own source — the
-/// shape per-shard synthesis wants, where each shard regenerates
-/// exactly its own connections. make_shard(s) must return a source
-/// whose records are exactly the serial stream's records with
-/// shard_of(conn_id, n_shards) == s (shard.hpp; per connection, in time
-/// order), and whose info matches the serial source's — which
-/// StreamingPacketSynthesizer's SynthShard guarantees. make_shard may
-/// be called concurrently from pool threads. Shards run concurrently
-/// via par::parallel_for, each with its own filter stack (the outlier
-/// scan is per shard too — outlier decisions are per connection, and a
-/// connection is shard-local), and the bin grids merge in shard order,
-/// so the output is byte-identical to the serial analysis at every
-/// (shard count, thread count). Throws std::invalid_argument unless
-/// 1 <= n_shards <= 1024.
-PipelineResult analyze_sharded_sources(
-    const std::function<std::unique_ptr<PacketChunkSource>(std::size_t)>&
-        make_shard,
-    std::size_t n_shards, const PipelineOptions& options);
 
 /// The finish every whole-stream analysis shares: variance-time,
 /// burst-lull and moments over the binned count series.

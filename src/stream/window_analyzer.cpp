@@ -12,6 +12,10 @@ namespace wan::stream {
 
 namespace {
 
+// The smallest segment whose periodogram, (seg - 1) / 2 ordinates, holds
+// the 8 the Whittle refitter needs.
+constexpr std::size_t kMinSegmentBins = 18;
+
 std::string fmt_double(double v) {
   char buf[40];
   std::snprintf(buf, sizeof(buf), "%.17g", v);
@@ -88,16 +92,18 @@ WindowGeometry window_geometry(const WindowedOptions& options) {
          g.slide_bins, align);
   const std::size_t seg =
       options.segment_bins != 0 ? options.segment_bins : g.slide_bins / align;
-  if (seg < 4 || seg % 2 != 0) {
+  if (seg < kMinSegmentBins || seg % 2 != 0) {
     if (options.segment_bins != 0)
-      fail("windowed analysis: --segment-bins must be even and >= 4 "
+      fail("windowed analysis: --segment-bins must be even and >= %zu "
            "(got %zu) — the periodogram frequency grid needs an even "
-           "segment length",
-           seg);
+           "segment length, and the Whittle fit needs the 8 ordinates "
+           "of a segment of at least %zu bins",
+           kMinSegmentBins, seg, kMinSegmentBins);
     fail("windowed analysis: derived segment length %zu bins "
-         "(slide / 2^sweep_levels) is not even and >= 4; pass "
-         "--segment-bins explicitly or widen --slide",
-         seg);
+         "(slide / 2^sweep_levels) is not even and >= %zu, the fewest "
+         "bins whose periodogram holds the 8 ordinates the Whittle fit "
+         "needs; pass --segment-bins explicitly or widen --slide",
+         seg, kMinSegmentBins);
   }
   if (g.slide_bins % (seg * align) != 0)
     fail("windowed analysis: segment length x 2^sweep_levels (%zu x %zu "

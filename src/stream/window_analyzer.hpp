@@ -58,8 +58,9 @@ struct WindowedOptions {
 
   /// Welch segment length for the rolling periodogram, in bins; 0
   /// derives slide_bins >> sweep_levels (one new segment per level-0
-  /// slide). Must be even, >= 4, and divide the slide so windows hold
-  /// whole segments.
+  /// slide). Must be even, >= 18 (its periodogram then has the 8
+  /// ordinates the Whittle refit needs), and divide the slide so
+  /// windows hold whole segments.
   std::size_t segment_bins = 0;
 
   /// Extra 2x aggregation levels for the windowed Whittle

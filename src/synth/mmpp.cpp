@@ -18,17 +18,6 @@ MmppSource::MmppSource(MmppConfig config) : config_(std::move(config)) {
   }
 }
 
-double MmppSource::mean_rate() const {
-  // Uniform jump chain: stationary state probability proportional to the
-  // mean sojourn time.
-  double weight = 0.0, rate = 0.0;
-  for (std::size_t i = 0; i < config_.rates.size(); ++i) {
-    weight += config_.mean_sojourns[i];
-    rate += config_.rates[i] * config_.mean_sojourns[i];
-  }
-  return rate / weight;
-}
-
 std::vector<double> MmppSource::generate(rng::Rng& rng, double t0,
                                          double t1) const {
   std::vector<double> times;

@@ -28,9 +28,6 @@ class MmppSource {
   /// Arrival times over [t0, t1).
   std::vector<double> generate(rng::Rng& rng, double t0, double t1) const;
 
-  /// Long-run average arrival rate implied by the configuration.
-  double mean_rate() const;
-
   const MmppConfig& config() const { return config_; }
 
  private:

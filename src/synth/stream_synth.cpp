@@ -3,23 +3,13 @@
 #include <algorithm>
 #include <limits>
 #include <queue>
-#include <stdexcept>
 #include <utility>
-
-#include "src/stream/shard.hpp"
 
 namespace wan::synth {
 
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
-
-// Shard membership of a conn id — stream::shard_of, with count 1 short-
-// circuited so the unsharded path never touches the hash.
-bool owns_conn(const SynthShard& shard, std::uint32_t conn_id) {
-  return shard.count <= 1 ||
-         stream::shard_of(conn_id, shard.count) == shard.index;
-}
 
 }  // namespace
 
@@ -94,12 +84,8 @@ namespace {
 class TelnetGen final : public StreamingPacketSynthesizer::Generator {
  public:
   TelnetGen(const TelnetConfig& cfg, rng::Rng r, double t0, double t1,
-            std::uint32_t first_id, SynthShard shard)
-      : Generator(t0, t1),
-        src_(cfg),
-        first_id_(first_id),
-        responder_rng_(0),
-        shard_(shard) {
+            std::uint32_t first_id)
+      : Generator(t0, t1), src_(cfg), first_id_(first_id), responder_rng_(0) {
     starts_ = poisson_arrivals_hourly(r, cfg.profile, cfg.conns_per_day, t0,
                                       t1);
     checkpoints_.reserve(starts_.size());
@@ -130,14 +116,9 @@ class TelnetGen final : public StreamingPacketSynthesizer::Generator {
     const auto id = first_id_ + static_cast<std::uint32_t>(idx_);
     trace::PacketTrace tmp("", t0_, t1_);
     src_.append_originator_packets(c, t0_, t1_, id, tmp);
-    // The responder stream is one sequential walk shared by every
-    // connection, so a sharded generator still generates every
-    // connection's responder side — it just discards the records of
-    // connections another shard owns, keeping the stream position (and
-    // hence every owned connection's draws) exactly the serial path's.
     src_.append_responder_packets(responder_rng_, c, t0_, t1_, id,
                                   ResponderConfig{}, tmp);
-    if (owns_conn(shard_, id)) push_all(tmp);
+    push_all(tmp);
     ++idx_;
     return true;
   }
@@ -148,7 +129,6 @@ class TelnetGen final : public StreamingPacketSynthesizer::Generator {
   std::vector<double> starts_;
   std::vector<rng::Rng> checkpoints_;
   rng::Rng responder_rng_;
-  SynthShard shard_;
   std::size_t idx_ = 0;
 };
 
@@ -204,9 +184,8 @@ class BulkGen final : public StreamingPacketSynthesizer::Generator {
 class DnsGen final : public StreamingPacketSynthesizer::Generator {
  public:
   DnsGen(const DnsConfig& cfg, rng::Rng r, double t0, double t1,
-         std::uint32_t first_id, SynthShard shard)
-      : Generator(t0, t1), cfg_(cfg), first_id_(first_id), rng_(0),
-        shard_(shard) {
+         std::uint32_t first_id)
+      : Generator(t0, t1), cfg_(cfg), first_id_(first_id), rng_(0) {
     arrivals_ = poisson_arrivals(r, cfg.queries_per_hour / 3600.0, t0, t1);
     rng_ = r;
   }
@@ -222,10 +201,8 @@ class DnsGen final : public StreamingPacketSynthesizer::Generator {
     if (idx_ >= arrivals_.size()) return false;
     const auto id = first_id_ + static_cast<std::uint32_t>(idx_);
     trace::PacketTrace tmp("", t0_, t1_);
-    // rng_ is one sequential walk: generate every exchange, keep only
-    // the owned ones (see TelnetGen's responder note).
     emit_dns_exchange(rng_, cfg_, arrivals_[idx_], t1_, id, tmp);
-    if (owns_conn(shard_, id)) push_all(tmp);
+    push_all(tmp);
     ++idx_;
     return true;
   }
@@ -235,7 +212,6 @@ class DnsGen final : public StreamingPacketSynthesizer::Generator {
   std::uint32_t first_id_;
   rng::Rng rng_;
   std::vector<double> arrivals_;
-  SynthShard shard_;
   std::size_t idx_ = 0;
 };
 
@@ -243,14 +219,11 @@ class DnsGen final : public StreamingPacketSynthesizer::Generator {
 class MboneGen final : public StreamingPacketSynthesizer::Generator {
  public:
   MboneGen(const MboneConfig& cfg, rng::Rng r, double t0, double t1,
-           std::uint32_t first_id, SynthShard shard)
-      : Generator(t0, t1), cfg_(cfg), first_id_(first_id), rng_(0),
-        shard_(shard) {
+           std::uint32_t first_id)
+      : Generator(t0, t1), cfg_(cfg), first_id_(first_id), rng_(0) {
     arrivals_ = poisson_arrivals(r, cfg.sessions_per_hour / 3600.0, t0, t1);
     rng_ = r;
   }
-
-  std::size_t connections() const { return arrivals_.size(); }
 
  protected:
   double frontier() const override {
@@ -262,7 +235,7 @@ class MboneGen final : public StreamingPacketSynthesizer::Generator {
     const auto id = first_id_ + static_cast<std::uint32_t>(idx_);
     trace::PacketTrace tmp("", t0_, t1_);
     emit_mbone_session(rng_, cfg_, arrivals_[idx_], t1_, id, tmp);
-    if (owns_conn(shard_, id)) push_all(tmp);
+    push_all(tmp);
     ++idx_;
     return true;
   }
@@ -272,18 +245,14 @@ class MboneGen final : public StreamingPacketSynthesizer::Generator {
   std::uint32_t first_id_;
   rng::Rng rng_;
   std::vector<double> arrivals_;
-  SynthShard shard_;
   std::size_t idx_ = 0;
 };
 
 }  // namespace
 
 StreamingPacketSynthesizer::StreamingPacketSynthesizer(
-    PacketDatasetConfig config, std::size_t chunk_size, SynthShard shard)
-    : config_(std::move(config)), chunk_size_(chunk_size), shard_(shard) {
-  if (shard_.count == 0 || shard_.index >= shard_.count)
-    throw std::invalid_argument(
-        "StreamingPacketSynthesizer: shard index must be < count");
+    PacketDatasetConfig config, std::size_t chunk_size)
+    : config_(std::move(config)), chunk_size_(chunk_size) {
   build();
 }
 
@@ -312,7 +281,7 @@ void StreamingPacketSynthesizer::build() {
   TelnetConfig tc = config_.telnet;
   tc.conns_per_day *= config_.volume_scale;
   auto telnet = std::make_unique<TelnetGen>(tc, r_telnet, t0, t1,
-                                            /*first_id=*/1, shard_);
+                                            /*first_id=*/1);
   auto next_conn_id =
       static_cast<std::uint32_t>(1 + telnet->connections());
 
@@ -337,15 +306,7 @@ void StreamingPacketSynthesizer::build() {
   const std::uint64_t stream_key = r_fill.next_u64();
   std::vector<BulkGen::Entry> entries;
   for (const trace::ConnRecord& c : bulk.records()) {
-    if (!is_bulk_protocol(c.protocol)) continue;
-    // Conn ids advance over the FULL entry set in every shard (the
-    // numbering is global); a sharded generator then keeps only its own
-    // entries. Each bulk connection re-seeds bulk_conn_rng(stream_key,
-    // id), so dropped entries consume no randomness — this is where
-    // sharded synthesis actually divides the packet-generation work.
-    const std::uint32_t id = next_conn_id++;
-    if (!owns_conn(shard_, id)) continue;
-    entries.push_back({c, id});
+    if (is_bulk_protocol(c.protocol)) entries.push_back({c, next_conn_id++});
   }
   auto bulk_gen = std::make_unique<BulkGen>(std::move(entries), stream_key,
                                             config_.fill, t0, t1);
@@ -356,13 +317,12 @@ void StreamingPacketSynthesizer::build() {
   if (!config_.tcp_only) {
     DnsConfig dc = config_.dns;
     dc.queries_per_hour *= config_.volume_scale;
-    auto dns =
-        std::make_unique<DnsGen>(dc, r_dns, t0, t1, next_conn_id, shard_);
+    auto dns = std::make_unique<DnsGen>(dc, r_dns, t0, t1, next_conn_id);
     next_conn_id += static_cast<std::uint32_t>(dns->connections());
     MboneConfig mc = config_.mbone;
     mc.sessions_per_hour *= config_.volume_scale;
-    auto mbone = std::make_unique<MboneGen>(mc, r_mbone, t0, t1,
-                                            next_conn_id, shard_);
+    auto mbone =
+        std::make_unique<MboneGen>(mc, r_mbone, t0, t1, next_conn_id);
     gens_.push_back(std::move(dns));
     gens_.push_back(std::move(mbone));
   }

@@ -35,36 +35,15 @@
 
 namespace wan::synth {
 
-/// One shard of a sharded synthesis: emit only the records whose conn
-/// id lands in shard `index` of `count` under stream::shard_of, so
-/// shard s's synthesizer produces exactly the sub-stream
-/// stream::analyze_sharded_sources expects from shard s. The default
-/// (count 1) is the whole trace.
-struct SynthShard {
-  std::size_t index = 0;
-  std::size_t count = 1;
-};
-
 class StreamingPacketSynthesizer final : public stream::PacketChunkSource {
  public:
   /// One traffic source as a lazily-activated, time-ordered buffer
   /// (defined in the .cpp; public so source implementations can subclass).
   class Generator;
 
-  /// Sharding determinism: every shard re-derives the identical child
-  /// RNG streams and connection skeletons (arrival times, conn-id
-  /// numbering — all O(#connections) eager work is replicated), then
-  /// activates only its own connections. Bulk connections — the volume
-  /// driver — re-seed per-connection RNG, so non-owned ones are skipped
-  /// outright; telnet/DNS/MBone walk shared sequential streams, so
-  /// non-owned units are generated and discarded to keep the stream
-  /// position exact. Shard membership is a pure function of (conn id,
-  /// count): shard 3 of 8 emits the same records at any thread count,
-  /// and the shards' union is the serial record set exactly.
   explicit StreamingPacketSynthesizer(
       PacketDatasetConfig config,
-      std::size_t chunk_size = stream::kDefaultChunkSize,
-      SynthShard shard = {});
+      std::size_t chunk_size = stream::kDefaultChunkSize);
   ~StreamingPacketSynthesizer() override;
 
   const stream::StreamInfo& info() const override { return info_; }
@@ -79,7 +58,6 @@ class StreamingPacketSynthesizer final : public stream::PacketChunkSource {
   PacketDatasetConfig config_;
   stream::StreamInfo info_;
   std::size_t chunk_size_;
-  SynthShard shard_;
   /// In merge-rank order: telnet, bulk, dns, mbone (the batch
   /// concatenation order, which fixes tie-breaking).
   std::vector<std::unique_ptr<Generator>> gens_;

@@ -12,15 +12,6 @@ void ConnTrace::sort_by_start() {
             });
 }
 
-ConnTrace ConnTrace::filter(Protocol protocol) const {
-  ConnTrace out(name_ + "/" + std::string(to_string(protocol)), t_begin_,
-                t_end_);
-  for (const ConnRecord& r : records_) {
-    if (r.protocol == protocol) out.add(r);
-  }
-  return out;
-}
-
 std::vector<double> ConnTrace::arrival_times(Protocol protocol) const {
   std::vector<double> times;
   for (const ConnRecord& r : records_) {

@@ -37,8 +37,6 @@ class ConnTrace {
   /// Sorts records by start time (analysis code assumes this).
   void sort_by_start();
 
-  /// New trace containing only `protocol` connections.
-  ConnTrace filter(Protocol protocol) const;
 
   /// Start times of all connections of `protocol`, sorted.
   std::vector<double> arrival_times(Protocol protocol) const;

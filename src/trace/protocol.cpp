@@ -26,19 +26,4 @@ std::optional<Protocol> protocol_from_string(std::string_view s) noexcept {
   return std::nullopt;
 }
 
-bool is_user_session_protocol(Protocol p) noexcept {
-  return p == Protocol::kTelnet || p == Protocol::kRlogin ||
-         p == Protocol::kFtpCtrl;
-}
-
-bool is_tcp(Protocol p) noexcept {
-  switch (p) {
-    case Protocol::kDns:
-    case Protocol::kMbone:
-      return false;
-    default:
-      return true;
-  }
-}
-
 }  // namespace wan::trace

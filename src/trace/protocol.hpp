@@ -34,11 +34,4 @@ inline constexpr Protocol kAllProtocols[] = {
 std::string_view to_string(Protocol p) noexcept;
 std::optional<Protocol> protocol_from_string(std::string_view s) noexcept;
 
-/// User-initiated session-arrival protocols: the ones Section III finds
-/// to be well-modeled as Poisson within one-hour intervals.
-bool is_user_session_protocol(Protocol p) noexcept;
-
-/// TCP protocols (appear in SYN/FIN connection traces).
-bool is_tcp(Protocol p) noexcept;
-
 }  // namespace wan::trace

@@ -3,81 +3,12 @@
 #include <cmath>
 #include <vector>
 
-#include "src/dist/empirical.hpp"
 #include "src/dist/zipf.hpp"
 #include "src/rng/rng.hpp"
 #include "src/stats/descriptive.hpp"
 
 namespace wan::dist {
 namespace {
-
-// --------------------------------------------------------- EmpiricalCdf
-
-TEST(EmpiricalCdf, LinearInterpolation) {
-  EmpiricalCdf d({0.0, 1.0, 3.0}, {0.0, 0.5, 1.0});
-  EXPECT_DOUBLE_EQ(d.cdf(-1.0), 0.0);
-  EXPECT_DOUBLE_EQ(d.cdf(0.5), 0.25);
-  EXPECT_DOUBLE_EQ(d.cdf(2.0), 0.75);
-  EXPECT_DOUBLE_EQ(d.cdf(5.0), 1.0);
-}
-
-TEST(EmpiricalCdf, QuantileInverts) {
-  EmpiricalCdf d({0.0, 1.0, 3.0}, {0.0, 0.5, 1.0});
-  for (double p = 0.05; p < 1.0; p += 0.05) {
-    EXPECT_NEAR(d.cdf(d.quantile(p)), p, 1e-12);
-  }
-}
-
-TEST(EmpiricalCdf, LogXInterpolation) {
-  EmpiricalCdf d({0.001, 0.1, 10.0}, {0.0, 0.5, 1.0},
-                 EmpiricalCdf::Interp::kLogX);
-  // Halfway in log space between 0.001 and 0.1 is 0.01.
-  EXPECT_NEAR(d.cdf(0.01), 0.25, 1e-12);
-  EXPECT_NEAR(d.quantile(0.25), 0.01, 1e-9);
-}
-
-TEST(EmpiricalCdf, MeanMatchesSegments) {
-  EmpiricalCdf d({0.0, 2.0}, {0.0, 1.0});
-  EXPECT_DOUBLE_EQ(d.mean(), 1.0);  // uniform on [0,2]
-  EXPECT_NEAR(d.variance(), 4.0 / 12.0, 1e-12);
-}
-
-TEST(EmpiricalCdf, FromSamplesReproducesSample) {
-  rng::Rng rng(5);
-  std::vector<double> xs(5000);
-  for (double& x : xs) x = rng.uniform(1.0, 9.0);
-  const auto d = EmpiricalCdf::from_samples(xs);
-  EXPECT_NEAR(d.mean(), stats::mean(xs), 0.05);
-  EXPECT_NEAR(d.quantile(0.5), stats::median(xs), 0.1);
-}
-
-TEST(EmpiricalCdf, SamplingRoundtrip) {
-  EmpiricalCdf d({0.0, 1.0, 3.0}, {0.0, 0.5, 1.0});
-  rng::Rng rng(6);
-  std::vector<double> xs(100000);
-  for (double& x : xs) x = d.sample(rng);
-  EXPECT_NEAR(stats::mean(xs), d.mean(), 0.02);
-  int below1 = 0;
-  for (double x : xs) below1 += x <= 1.0 ? 1 : 0;
-  EXPECT_NEAR(below1 / 100000.0, 0.5, 0.01);
-}
-
-TEST(EmpiricalCdf, HandlesDuplicateSamples) {
-  const std::vector<double> xs = {1.0, 1.0, 1.0, 2.0, 3.0, 3.0};
-  const auto d = EmpiricalCdf::from_samples(xs);
-  EXPECT_GT(d.cdf(1.5), 0.0);
-  EXPECT_LT(d.cdf(1.5), 1.0);
-}
-
-TEST(EmpiricalCdf, RejectsBadKnots) {
-  EXPECT_THROW(EmpiricalCdf({1.0}, {1.0}), std::invalid_argument);
-  EXPECT_THROW(EmpiricalCdf({1.0, 0.5}, {0.0, 1.0}), std::invalid_argument);
-  EXPECT_THROW(EmpiricalCdf({0.0, 1.0}, {0.1, 1.0}), std::invalid_argument);
-  EXPECT_THROW(EmpiricalCdf({0.0, 1.0}, {0.0, 0.9}), std::invalid_argument);
-  EXPECT_THROW(
-      EmpiricalCdf({0.0, 1.0}, {0.0, 1.0}, EmpiricalCdf::Interp::kLogX),
-      std::invalid_argument);
-}
 
 // ------------------------------------------------------- DiscretePareto
 

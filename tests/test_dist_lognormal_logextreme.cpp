@@ -3,7 +3,6 @@
 #include <cmath>
 #include <vector>
 
-#include "src/dist/logextreme.hpp"
 #include "src/dist/lognormal.hpp"
 #include "src/rng/rng.hpp"
 #include "src/stats/descriptive.hpp"
@@ -76,54 +75,6 @@ TEST(LogNormal, ButLongTailedSubexponential) {
   const double r3 = std::exp(lambda * 160.0) * ln.tail(160.0);
   EXPECT_GT(r2, r1);
   EXPECT_GT(r3, r2);
-}
-
-// ----------------------------------------------------------- logextreme
-
-TEST(LogExtreme, CdfQuantileRoundtrip) {
-  LogExtreme le(std::log2(100.0), std::log2(3.5));
-  for (double p = 0.05; p < 1.0; p += 0.05) {
-    EXPECT_NEAR(le.cdf(le.quantile(p)), p, 1e-9) << "p=" << p;
-  }
-}
-
-TEST(LogExtreme, PaperByteModelHasInfiniteMean) {
-  // [34]'s TELNET-bytes model: alpha = log2(100), beta = log2(3.5);
-  // beta * ln2 = ln(3.5) > 1 -> infinite mean.
-  LogExtreme le(std::log2(100.0), std::log2(3.5));
-  EXPECT_FALSE(std::isfinite(le.mean()));
-  EXPECT_FALSE(std::isfinite(le.variance()));
-}
-
-TEST(LogExtreme, SmallScaleHasFiniteMoments) {
-  LogExtreme le(2.0, 0.5);  // beta ln2 = 0.35 < 0.5
-  EXPECT_TRUE(std::isfinite(le.mean()));
-  EXPECT_TRUE(std::isfinite(le.variance()));
-  rng::Rng rng(11);
-  std::vector<double> xs(200000);
-  for (double& x : xs) x = le.sample(rng);
-  EXPECT_NEAR(stats::mean(xs), le.mean(), 0.05 * le.mean());
-}
-
-TEST(LogExtreme, ModeLocationInLog2Space) {
-  // Gumbel mode at the location parameter: the log2 of the median is
-  // alpha - beta ln(ln 2).
-  LogExtreme le(4.0, 1.0);
-  const double median = le.quantile(0.5);
-  EXPECT_NEAR(std::log2(median), 4.0 - 1.0 * std::log(std::log(2.0)),
-              1e-9);
-}
-
-TEST(LogExtreme, HeavierUpperTailThanLogNormalPeer) {
-  // Matched medians; the log-extreme dominates far out (it is the
-  // byte-count model precisely because of that tail).
-  LogExtreme le(std::log2(100.0), std::log2(3.5));
-  LogNormal ln = LogNormal::from_log2(std::log2(100.0), 2.24);
-  EXPECT_GT(le.tail(1e7), ln.tail(1e7));
-}
-
-TEST(LogExtreme, RejectsBadBeta) {
-  EXPECT_THROW(LogExtreme(0.0, 0.0), std::invalid_argument);
 }
 
 }  // namespace

@@ -87,20 +87,6 @@ TEST(Fft, ParsevalHolds) {
   EXPECT_NEAR(freq_energy / 512.0, time_energy, 1e-8);
 }
 
-TEST(Fft, FftRealMatchesComplex) {
-  rng::Rng rng(3);
-  std::vector<double> x(128);
-  for (double& v : x) v = rng.uniform(-2.0, 2.0);
-  std::vector<cd> cx(x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) cx[i] = cd(x[i], 0.0);
-  const auto a = fft_real(x);
-  const auto b = fft(cx);
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_NEAR(a[i].real(), b[i].real(), 1e-10);
-    EXPECT_NEAR(a[i].imag(), b[i].imag(), 1e-10);
-  }
-}
-
 TEST(Fft, CircularAutocorrelationMatchesDirect) {
   rng::Rng rng(4);
   std::vector<double> x(64);
@@ -166,7 +152,7 @@ TEST(Periodogram, OddLengthTrimsToEvenPlannedTransform) {
   std::vector<double> x(1001);
   for (double& v : x) v = rng.uniform(-1.0, 1.0);
 
-  reset_plan_caches();
+  const auto before = rfft_plan_cache_stats();
   const auto odd = periodogram(x);
   const auto even = periodogram(std::span<const double>(x).first(1000));
 
@@ -183,9 +169,9 @@ TEST(Periodogram, OddLengthTrimsToEvenPlannedTransform) {
   // odd call taken rfft's widened fallback, the real-plan cache would
   // have seen only one access total.
   const auto rs = rfft_plan_cache_stats();
-  EXPECT_EQ(rs.misses, 1u);
-  EXPECT_EQ(rs.hits, 1u);
-  EXPECT_EQ(rs.entries, 1u);
+  EXPECT_EQ(rs.misses, before.misses + 1);
+  EXPECT_EQ(rs.hits, before.hits + 1);
+  EXPECT_EQ(rs.entries, before.entries + 1);
 }
 
 TEST(SpectrumCascade, LevelZeroIsBitwisePeriodogram) {

@@ -1,4 +1,4 @@
-// Zero-copy ingest fast-path pins (DESIGN.md §14): the mmap'd reader
+// Zero-copy ingest fast-path pins (DESIGN.md §13): the mmap'd reader
 // against its buffered fallback, the flat open-addressing flow table
 // against a small std::map reference table defined here, the direct
 // columnar decode against the row source, and the one-pass analysis

@@ -412,7 +412,6 @@ TEST(MonitorDaemon, SigintFlushesFinalReportsAndLedger) {
   };
 
   monitor::MonitorDaemon::install_signal_handlers();
-  monitor::MonitorDaemon::reset_signal_stop();
   monitor::MonitorDaemon daemon(opt);
   monitor::TailPcapSource tail(path, opt.mode);
 
@@ -426,7 +425,7 @@ TEST(MonitorDaemon, SigintFlushesFinalReportsAndLedger) {
   ASSERT_GT(seen.load(), 0u) << "daemon never emitted a report";
   raise(SIGINT);
   runner.join();
-  monitor::MonitorDaemon::reset_signal_stop();
+  monitor::MonitorDaemon::install_signal_handlers();  // re-arm for later tests
 
   EXPECT_EQ(rc, 0);
   const std::string out = rep.str();
@@ -611,6 +610,16 @@ TEST(MonitorCli, RejectsContradictionsUnknownsAndBadNumbers) {
   // Bad geometry and bad protocol names fail at the CLI, not at the
   // first report.
   EXPECT_FALSE(parse({"--replay", "a.pcap", "--slide", "7"}, cli, err));
+  // A 16-bin segment leaves the Whittle refit 7 periodogram ordinates of
+  // the 8 it needs: rejected here, not an hour in at the first report.
+  EXPECT_FALSE(parse({"--replay", "a.pcap", "--bin", "0.05", "--window",
+                      "1.6", "--slide", "0.8", "--poisson-interval", "0"},
+                     cli, err));
+  EXPECT_NE(err.find("even and >= 18"), std::string::npos) << err;
+  EXPECT_TRUE(parse({"--replay", "a.pcap", "--bin", "0.05", "--window",
+                     "1.8", "--slide", "0.9", "--poisson-interval", "0"},
+                    cli, err))
+      << err;
   EXPECT_FALSE(
       parse({"--replay", "a.pcap", "--protocols", "TELNET,BOGUS"}, cli, err));
   EXPECT_NE(err.find("BOGUS"), std::string::npos);

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <numeric>
 #include <vector>
 
 #include "src/rng/rng.hpp"
@@ -93,9 +94,9 @@ TEST(FgnGeneration, ExactSelfSimilarityOfAggregates) {
   const int reps = 6;
   for (int rep = 0; rep < reps; ++rep) {
     const auto x = generate_fgn(rng, 1 << 16, h);
-    v1 += stats::variance_population(x);
+    v1 += stats::variance(x);
     const auto agg = stats::aggregate_mean(x, 16);
-    v16 += stats::variance_population(agg);
+    v16 += stats::variance(agg);
   }
   const double ratio = (v16 / reps) / (v1 / reps);
   EXPECT_NEAR(ratio, std::pow(16.0, 2.0 * h - 2.0), 0.05);
@@ -110,27 +111,18 @@ TEST(FgnGeneration, EdgeCases) {
   EXPECT_THROW(generate_fgn(rng, 16, 1.0), std::invalid_argument);
 }
 
-TEST(Fbm, IsCumulativeSumOfFgn) {
-  rng::Rng a(7), b(7);
-  const auto noise = generate_fgn(a, 1024, 0.7);
-  const auto motion = generate_fbm(b, 1024, 0.7);
-  double cum = 0.0;
-  for (std::size_t i = 0; i < noise.size(); ++i) {
-    cum += noise[i];
-    EXPECT_NEAR(motion[i], cum, 1e-9);
-  }
-}
-
-TEST(Fbm, VarianceGrowsAsT2H) {
-  // Var B(t) = t^{2H}: estimate from many short independent paths.
+TEST(FgnPartialSums, VarianceGrowsAsT2H) {
+  // The partial sums of fGn are fBm, Var B(t) = t^{2H}: estimate from
+  // many short independent paths.
   rng::Rng rng(8);
   const double h = 0.7;
   const std::size_t t1 = 64, t2 = 256;
   std::vector<double> b1, b2;
   for (int rep = 0; rep < 400; ++rep) {
-    const auto m = generate_fbm(rng, t2, h);
-    b1.push_back(m[t1 - 1]);
-    b2.push_back(m[t2 - 1]);
+    const auto noise = generate_fgn(rng, t2, h);
+    const double s1 = std::accumulate(noise.begin(), noise.begin() + t1, 0.0);
+    b1.push_back(s1);
+    b2.push_back(std::accumulate(noise.begin() + t1, noise.end(), s1));
   }
   const double ratio = stats::variance(b2) / stats::variance(b1);
   EXPECT_NEAR(ratio, std::pow(static_cast<double>(t2) / t1, 2.0 * h),

@@ -1,62 +1,36 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "src/dist/exponential.hpp"
 #include "src/rng/rng.hpp"
 #include "src/sim/fifo.hpp"
-#include "src/sim/simulator.hpp"
 #include "src/stats/descriptive.hpp"
 
 namespace wan::sim {
 namespace {
 
-// ------------------------------------------------------------- Simulator
-
-TEST(Simulator, RunsEventsInTimeThenInsertionOrder) {
-  Simulator sim;
-  std::vector<int> order;
-  sim.schedule_at(2.0, [&] { order.push_back(3); });
-  sim.schedule_at(1.0, [&] { order.push_back(1); });
-  sim.schedule_at(1.0, [&] { order.push_back(2); });
-  sim.run();
-  ASSERT_EQ(order.size(), 3u);
-  EXPECT_EQ(order[0], 1);
-  EXPECT_EQ(order[1], 2);
-  EXPECT_EQ(order[2], 3);
-  EXPECT_DOUBLE_EQ(sim.now(), 2.0);
-}
-
-TEST(Simulator, EventsMayScheduleMoreEvents) {
-  Simulator sim;
-  int fired = 0;
-  std::function<void()> chain = [&] {
-    ++fired;
-    if (fired < 5) sim.schedule_in(1.0, chain);
-  };
-  sim.schedule_at(0.0, chain);
-  sim.run();
-  EXPECT_EQ(fired, 5);
-  EXPECT_DOUBLE_EQ(sim.now(), 4.0);
-}
-
-TEST(Simulator, RunUntilStopsAtBoundary) {
-  Simulator sim;
-  int fired = 0;
-  sim.schedule_at(1.0, [&] { ++fired; });
-  sim.schedule_at(5.0, [&] { ++fired; });
-  sim.run_until(3.0);
-  EXPECT_EQ(fired, 1);
-  EXPECT_DOUBLE_EQ(sim.now(), 3.0);
-  EXPECT_EQ(sim.pending(), 1u);
-}
-
-TEST(Simulator, RejectsPastScheduling) {
-  Simulator sim;
-  sim.schedule_at(2.0, [] {});
-  sim.run();
-  EXPECT_THROW(sim.schedule_at(1.0, [] {}), std::invalid_argument);
+// The oracle simulate_fifo is checked against: waiting times (time in
+// queue, excluding own service) for a FIFO single-server queue fed by
+// sorted `arrivals`, where packet i needs `services[i]` seconds of
+// service. Lindley's recursion:
+//   W_0 = 0;  W_{i+1} = max(0, W_i + S_i - (A_{i+1} - A_i)).
+std::vector<double> fifo_wait_times(std::span<const double> arrivals,
+                                    std::span<const double> services) {
+  if (arrivals.size() != services.size())
+    throw std::invalid_argument("fifo_wait_times: size mismatch");
+  std::vector<double> waits(arrivals.size(), 0.0);
+  for (std::size_t i = 1; i < arrivals.size(); ++i) {
+    const double gap = arrivals[i] - arrivals[i - 1];
+    if (gap < 0.0)
+      throw std::invalid_argument("fifo_wait_times: arrivals not sorted");
+    waits[i] = std::max(0.0, waits[i - 1] + services[i - 1] - gap);
+  }
+  return waits;
 }
 
 // ----------------------------------------------------------- Lindley FIFO

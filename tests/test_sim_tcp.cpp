@@ -84,44 +84,5 @@ TEST(TcpTransfer, QueueBoundedByBuffer) {
   for (double q : t.queue_by_round) EXPECT_LE(q, 10.0 + 1e-9);
 }
 
-// -------------------------------------------------------------- shared
-
-TEST(TcpShared, AllFlowsComplete) {
-  TcpConfig cfg;
-  cfg.bottleneck_rate = 200.0;
-  const auto s = simulate_tcp_shared(5, 2000, cfg);
-  ASSERT_EQ(s.completion_times.size(), 5u);
-  ASSERT_EQ(s.mean_rates.size(), 5u);
-  for (double r : s.mean_rates) EXPECT_GT(r, 0.0);
-  EXPECT_EQ(s.aggregate_departures.size(), 5u * 2000u);
-  EXPECT_TRUE(std::is_sorted(s.aggregate_departures.begin(),
-                             s.aggregate_departures.end()));
-}
-
-TEST(TcpShared, AggregateRateNearCapacityUnderLoad) {
-  TcpConfig cfg;
-  cfg.bottleneck_rate = 100.0;
-  const auto s = simulate_tcp_shared(8, 5000, cfg);
-  // Sum of achieved rates while all flows are active cannot exceed the
-  // bottleneck; under sustained load it should be within reach of it.
-  double sum_rates = 0.0;
-  for (double r : s.mean_rates) sum_rates += r;
-  EXPECT_LE(sum_rates, 100.0 * 1.05);
-  EXPECT_GT(sum_rates, 40.0);
-}
-
-TEST(TcpShared, MoreFlowsSlowerEach) {
-  TcpConfig cfg;
-  cfg.bottleneck_rate = 100.0;
-  const auto few = simulate_tcp_shared(2, 3000, cfg);
-  const auto many = simulate_tcp_shared(10, 3000, cfg);
-  EXPECT_LT(stats::mean(many.mean_rates), stats::mean(few.mean_rates));
-}
-
-TEST(TcpShared, EmptyInput) {
-  const auto s = simulate_tcp_shared(0, 100);
-  EXPECT_TRUE(s.completion_times.empty());
-}
-
 }  // namespace
 }  // namespace wan::sim

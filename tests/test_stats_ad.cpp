@@ -16,24 +16,7 @@ namespace {
 TEST(AndersonDarling, CriticalTablesLookUp) {
   EXPECT_DOUBLE_EQ(ad_critical_exponential(0.05), 1.321);
   EXPECT_DOUBLE_EQ(ad_critical_exponential(0.01), 1.959);
-  EXPECT_DOUBLE_EQ(ad_critical_case0(0.05), 2.492);
   EXPECT_THROW(ad_critical_exponential(0.123), std::invalid_argument);
-}
-
-TEST(AndersonDarling, UniformSamplesPassCase0) {
-  rng::Rng rng(1);
-  std::vector<double> z(500);
-  for (double& v : z) v = rng.uniform01();
-  const auto r = ad_test_uniform(z, 0.05);
-  EXPECT_TRUE(r.pass);
-  EXPECT_GT(r.a2, 0.0);
-}
-
-TEST(AndersonDarling, SkewedSamplesFailCase0) {
-  rng::Rng rng(2);
-  std::vector<double> z(500);
-  for (double& v : z) v = std::pow(rng.uniform01(), 3.0);  // not uniform
-  EXPECT_FALSE(ad_test_uniform(z, 0.05).pass);
 }
 
 TEST(AndersonDarling, ExponentialCalibrationNear95Percent) {
@@ -96,18 +79,6 @@ TEST(AndersonDarling, StatisticGrowsWithDeviation) {
 TEST(AndersonDarling, RejectsTinySamples) {
   EXPECT_THROW(ad_test_exponential(std::vector<double>{1.0}),
                std::invalid_argument);
-}
-
-TEST(AndersonDarling, TemplateOverloadMatchesUniformPath) {
-  rng::Rng rng(7);
-  const dist::Exponential e(3.0);
-  std::vector<double> x(100);
-  for (double& v : x) v = e.sample(rng);
-  const double via_template =
-      anderson_darling_statistic(x, [&e](double v) { return e.cdf(v); });
-  std::vector<double> z(x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) z[i] = e.cdf(x[i]);
-  EXPECT_NEAR(via_template, anderson_darling_uniform(z), 1e-12);
 }
 
 // ---------------------------------------------------------- binomial

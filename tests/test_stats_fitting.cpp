@@ -3,8 +3,6 @@
 #include <cmath>
 #include <vector>
 
-#include "src/dist/logextreme.hpp"
-#include "src/dist/lognormal.hpp"
 #include "src/rng/rng.hpp"
 #include "src/stats/fitting.hpp"
 
@@ -19,76 +17,6 @@ TEST(FitExponential, RecoversMean) {
   EXPECT_NEAR(fit_exponential(xs).mean(), 2.5, 0.05);
   EXPECT_THROW(fit_exponential(std::vector<double>{0.0, 0.0}),
                std::invalid_argument);
-}
-
-TEST(FitLogNormal, RecoversParameters) {
-  rng::Rng rng(2);
-  const dist::LogNormal ln(1.5, 0.8);
-  std::vector<double> xs(50000);
-  for (double& x : xs) x = ln.sample(rng);
-  const auto fit = fit_lognormal(xs);
-  EXPECT_NEAR(fit.mu(), 1.5, 0.02);
-  EXPECT_NEAR(fit.sigma(), 0.8, 0.02);
-}
-
-TEST(FitLogNormal, RejectsBadInput) {
-  EXPECT_THROW(fit_lognormal(std::vector<double>{1.0}),
-               std::invalid_argument);
-  EXPECT_THROW(fit_lognormal(std::vector<double>{1.0, -2.0}),
-               std::invalid_argument);
-  EXPECT_THROW(fit_lognormal(std::vector<double>{3.0, 3.0, 3.0}),
-               std::invalid_argument);
-}
-
-TEST(FitLogExtreme, RecoversParameters) {
-  rng::Rng rng(3);
-  const dist::LogExtreme le(std::log2(100.0), 1.2);
-  std::vector<double> xs(50000);
-  for (double& x : xs) x = le.sample(rng);
-  const auto fit = fit_logextreme(xs);
-  EXPECT_NEAR(fit.alpha(), std::log2(100.0), 0.05);
-  EXPECT_NEAR(fit.beta(), 1.2, 0.05);
-}
-
-TEST(FitLogExtreme, PaperScaleParameters) {
-  // The [34] model itself: alpha = log2 100, beta = log2 3.5.
-  rng::Rng rng(4);
-  const dist::LogExtreme le(std::log2(100.0), std::log2(3.5));
-  std::vector<double> xs(50000);
-  for (double& x : xs) x = le.sample(rng);
-  const auto fit = fit_logextreme(xs);
-  EXPECT_NEAR(fit.beta(), std::log2(3.5), 0.06);
-}
-
-TEST(FitLogExtreme, RejectsDegenerate) {
-  EXPECT_THROW(fit_logextreme(std::vector<double>{5.0}),
-               std::invalid_argument);
-  EXPECT_THROW(fit_logextreme(std::vector<double>{1.0, 0.0}),
-               std::invalid_argument);
-}
-
-TEST(ModelSelection, PacketsPreferLogNormalBytesPreferLogExtreme) {
-  // Section V's observation, tested via in-model likelihoods: data drawn
-  // from each family is better fit (higher log-likelihood of the logs)
-  // by its own family.
-  rng::Rng rng(5);
-  const auto ln = dist::LogNormal::from_log2(std::log2(100.0), 2.24);
-  std::vector<double> pkts(20000);
-  for (double& x : pkts) x = ln.sample(rng);
-
-  const auto fit_n = fit_lognormal(pkts);
-  const auto fit_e = fit_logextreme(pkts);
-  // Compare KS-style max CDF deviation on the sample.
-  std::vector<double> sorted(pkts);
-  std::sort(sorted.begin(), sorted.end());
-  double d_n = 0.0, d_e = 0.0;
-  const double n = static_cast<double>(sorted.size());
-  for (std::size_t i = 0; i < sorted.size(); ++i) {
-    const double emp = (i + 1.0) / n;
-    d_n = std::max(d_n, std::abs(fit_n.cdf(sorted[i]) - emp));
-    d_e = std::max(d_e, std::abs(fit_e.cdf(sorted[i]) - emp));
-  }
-  EXPECT_LT(d_n, d_e);
 }
 
 }  // namespace

@@ -1,3 +1,5 @@
+// Appendix A's choice of goodness-of-fit test (A^2 against the KS oracle,
+// after Stephens) and the fARIMA Whittle estimator.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -5,86 +7,18 @@
 
 #include "src/dist/exponential.hpp"
 #include "src/dist/pareto.hpp"
-#include "src/dist/special.hpp"
 #include "src/rng/rng.hpp"
 #include "src/selfsim/farima.hpp"
 #include "src/selfsim/fgn.hpp"
 #include "src/stats/anderson_darling.hpp"
-#include "src/stats/hypothesis.hpp"
 #include "src/stats/whittle.hpp"
+#include "tests/ks_oracle.hpp"
 
 namespace wan::stats {
 namespace {
 
-// ------------------------------------------------- chi-square machinery
-
-TEST(SpecialGamma, RegularizedGammaKnownValues) {
-  // P(1, x) = 1 - e^{-x}.
-  for (double x : {0.1, 1.0, 3.0, 10.0}) {
-    EXPECT_NEAR(dist::regularized_gamma_p(1.0, x), 1.0 - std::exp(-x),
-                1e-12);
-  }
-  // P(1/2, x) = erf(sqrt(x)).
-  for (double x : {0.25, 1.0, 4.0}) {
-    EXPECT_NEAR(dist::regularized_gamma_p(0.5, x), std::erf(std::sqrt(x)),
-                1e-10);
-  }
-}
-
-TEST(SpecialGamma, ChiSquareQuantilesMatchTables) {
-  // chi2 critical values: k=1 alpha=.05 -> 3.841; k=10 alpha=.05 -> 18.307.
-  EXPECT_NEAR(dist::chi_square_sf(3.841, 1.0), 0.05, 1e-3);
-  EXPECT_NEAR(dist::chi_square_sf(18.307, 10.0), 0.05, 1e-3);
-  EXPECT_NEAR(dist::chi_square_cdf(18.307, 10.0), 0.95, 1e-3);
-}
-
-TEST(SpecialGamma, CdfSfComplement) {
-  for (double k : {1.0, 4.0, 20.0}) {
-    for (double x : {0.5, 3.0, 15.0, 40.0}) {
-      EXPECT_NEAR(dist::chi_square_cdf(x, k) + dist::chi_square_sf(x, k),
-                  1.0, 1e-10);
-    }
-  }
-}
-
-// ------------------------------------------------------------ Ljung-Box
-
-TEST(LjungBox, WhiteNoisePasses) {
-  rng::Rng rng(1);
-  std::vector<double> x(5000);
-  for (double& v : x) v = rng.uniform(-1.0, 1.0);
-  const auto r = ljung_box_test(x, 10);
-  EXPECT_TRUE(r.pass) << "p=" << r.p_value;
-  EXPECT_EQ(r.lags, 10u);
-}
-
-TEST(LjungBox, Ar1Rejected) {
-  rng::Rng rng(2);
-  std::vector<double> x(5000);
-  double prev = 0.0;
-  for (double& v : x) {
-    prev = 0.4 * prev + rng.uniform(-1.0, 1.0);
-    v = prev;
-  }
-  const auto r = ljung_box_test(x, 10);
-  EXPECT_FALSE(r.pass);
-  EXPECT_LT(r.p_value, 1e-6);
-}
-
-TEST(LjungBox, DetectsLongMemoryThatLag1Misses) {
-  // An fGn with modest H: lag-1 correlation may hide under the 1.96
-  // threshold in short windows, but the portmanteau over 20 lags sees it.
-  rng::Rng rng(3);
-  const auto x = selfsim::generate_fgn(rng, 4096, 0.75);
-  const auto r = ljung_box_test(x, 20);
-  EXPECT_FALSE(r.pass);
-}
-
-TEST(LjungBox, Validation) {
-  std::vector<double> tiny(5, 1.0);
-  EXPECT_THROW(ljung_box_test(tiny, 10), std::invalid_argument);
-  EXPECT_THROW(ljung_box_test(tiny, 0), std::invalid_argument);
-}
+using testing_oracle::kolmogorov_sf;
+using testing_oracle::ks_test;
 
 // -------------------------------------------------------------- KS test
 
@@ -111,36 +45,6 @@ TEST(KsTest, KolmogorovSfSane) {
   EXPECT_DOUBLE_EQ(kolmogorov_sf(0.0), 1.0);
   EXPECT_NEAR(kolmogorov_sf(1.36), 0.05, 0.002);  // classic 5% point
   EXPECT_LT(kolmogorov_sf(2.0), 0.001);
-}
-
-// --------------------------------------------------- chi-square GOF
-
-TEST(ChiSquareGof, CorrectNullPasses) {
-  rng::Rng rng(6);
-  const dist::Exponential e(1.0);
-  std::vector<double> x(5000);
-  for (double& v : x) v = e.sample(rng);
-  const auto r =
-      chi_square_gof(x, [&e](double p) { return e.quantile(p); }, 20);
-  EXPECT_TRUE(r.pass) << "p=" << r.p_value;
-  EXPECT_EQ(r.dof, 19u);
-}
-
-TEST(ChiSquareGof, WrongNullRejected) {
-  rng::Rng rng(7);
-  const dist::Pareto p(0.2, 1.0);
-  const dist::Exponential e(1.0);
-  std::vector<double> x(5000);
-  for (double& v : x) v = p.sample(rng);
-  const auto r =
-      chi_square_gof(x, [&e](double q) { return e.quantile(q); }, 20);
-  EXPECT_FALSE(r.pass);
-}
-
-TEST(ChiSquareGof, Validation) {
-  const std::vector<double> counts = {10.0};
-  EXPECT_THROW(chi_square_from_counts(counts, 10.0, 0, 0.05),
-               std::invalid_argument);
 }
 
 // ---------------------------- the Appendix-A power comparison (Stephens)

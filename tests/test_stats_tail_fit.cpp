@@ -46,12 +46,6 @@ TEST(Hill, RejectsBadK) {
   EXPECT_THROW(hill_estimator(xs, 100), std::invalid_argument);
 }
 
-TEST(ParetoMle, ExactRecovery) {
-  const auto xs = pareto_sample(2.0, 1.3, 100000, 11);
-  EXPECT_NEAR(pareto_mle_shape(xs, 2.0), 1.3, 0.02);
-  EXPECT_THROW(pareto_mle_shape(xs, 3.0), std::invalid_argument);
-}
-
 TEST(CcdfTailFit, SlopeMatchesShape) {
   const auto xs = pareto_sample(1.0, 1.1, 100000, 13);
   const auto fit = ccdf_tail_fit(xs, 0.05);

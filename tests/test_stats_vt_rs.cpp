@@ -140,8 +140,6 @@ TEST(RsAnalysis, RejectsShortSeries) {
 TEST(Autocorr, WhiteNoiseLag1Small) {
   const auto x = white_noise(50000, 37);
   EXPECT_LT(std::abs(lag1_autocorrelation(x)), lag1_threshold(x.size()) * 2);
-  EXPECT_TRUE(passes_lag1_independence(x) ||
-              std::abs(lag1_autocorrelation(x)) < 0.02);
 }
 
 TEST(Autocorr, Ar1HasExpectedLag1) {

@@ -202,8 +202,8 @@ TEST(StreamFilters, ProtocolFilterMatchesBatch) {
   const trace::PacketTrace want = t.filter(trace::Protocol::kTelnet);
   stream::TraceChunkSource base(t, /*chunk_size=*/11);
   stream::ColumnsFromRows cols(base);
-  stream::ColumnFilterSource f =
-      stream::protocol_filter_columns(cols, trace::Protocol::kTelnet);
+  stream::ColumnFilterSource f(cols, trace::Protocol::kTelnet,
+                               /*orig_data=*/false);
   EXPECT_EQ(f.info().name, want.name());
   expect_same_records(collect_columns_as_trace(f), want);
 }
@@ -213,7 +213,7 @@ TEST(StreamFilters, OriginatorDataFilterMatchesBatch) {
   const trace::PacketTrace want = t.originator_data_packets();
   stream::TraceChunkSource base(t, /*chunk_size=*/11);
   stream::ColumnsFromRows cols(base);
-  stream::ColumnFilterSource f = stream::originator_data_filter_columns(cols);
+  stream::ColumnFilterSource f(cols, std::nullopt, /*orig_data=*/true);
   EXPECT_EQ(f.info().name, want.name());
   expect_same_records(collect_columns_as_trace(f), want);
 }

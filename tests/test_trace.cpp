@@ -37,30 +37,13 @@ TEST(Protocol, RoundtripNames) {
   EXPECT_FALSE(protocol_from_string("BOGUS").has_value());
 }
 
-TEST(Protocol, UserSessionClassification) {
-  EXPECT_TRUE(is_user_session_protocol(Protocol::kTelnet));
-  EXPECT_TRUE(is_user_session_protocol(Protocol::kFtpCtrl));
-  EXPECT_TRUE(is_user_session_protocol(Protocol::kRlogin));
-  EXPECT_FALSE(is_user_session_protocol(Protocol::kFtpData));
-  EXPECT_FALSE(is_user_session_protocol(Protocol::kNntp));
-  EXPECT_FALSE(is_user_session_protocol(Protocol::kX11));
-}
-
-TEST(Protocol, TcpClassification) {
-  EXPECT_TRUE(is_tcp(Protocol::kTelnet));
-  EXPECT_FALSE(is_tcp(Protocol::kDns));
-  EXPECT_FALSE(is_tcp(Protocol::kMbone));
-}
-
 // ------------------------------------------------------------ ConnTrace
 
-TEST(ConnTrace, FilterAndArrivalTimes) {
+TEST(ConnTrace, ArrivalTimes) {
   ConnTrace t("t", 0.0, 100.0);
   t.add(conn(5.0, 1.0, Protocol::kTelnet));
   t.add(conn(1.0, 1.0, Protocol::kFtpData));
   t.add(conn(3.0, 1.0, Protocol::kTelnet));
-  const auto telnet = t.filter(Protocol::kTelnet);
-  EXPECT_EQ(telnet.size(), 2u);
   const auto times = t.arrival_times(Protocol::kTelnet);
   ASSERT_EQ(times.size(), 2u);
   EXPECT_DOUBLE_EQ(times[0], 3.0);  // sorted

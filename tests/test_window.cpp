@@ -1,15 +1,16 @@
 // Sliding-window estimation pins (ctest label `window`): SegmentRing
 // add/evict parity against the batch AveragedPeriodogram (bitwise),
-// bucket-boundary exactness of the windowed accumulator twins, the
-// Whittle warm-start fallback on junk hints (search and refitter
-// paths), and the end-to-end WindowedAnalyzer against the from-scratch
-// reference.
+// bucket-boundary exactness of the windowed accumulator twins and the
+// merge algebra their buckets fold with, the Whittle warm-start
+// fallback on junk hints (search and refitter paths), and the
+// end-to-end WindowedAnalyzer against the from-scratch reference.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <random>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "src/fft/periodogram.hpp"
@@ -148,6 +149,91 @@ TEST(WindowedMoments, MergedMatchesSerialPassToRounding) {
               1e-10 * serial.variance_population());
 }
 
+// --- Bucket merge algebra: what the rings' merged() folds rest on ------
+
+TEST(BucketMerge, MomentMergeIsDeterministicAndAccurate) {
+  const std::vector<double> x = count_series(10000, 1);
+  stats::MomentAccumulator serial;
+  serial.push(std::span<const double>(x));
+
+  // Three contiguous buckets, folded in bucket order.
+  auto run_fold = [&] {
+    stats::MomentAccumulator a, b, c;
+    a.push(std::span<const double>(x).subspan(0, 3000));
+    b.push(std::span<const double>(x).subspan(3000, 4500));
+    c.push(std::span<const double>(x).subspan(7500));
+    a.merge(b);
+    a.merge(c);
+    return a;
+  };
+  const stats::MomentAccumulator m1 = run_fold();
+  const stats::MomentAccumulator m2 = run_fold();
+
+  // Fixed fold order => identical bits run to run.
+  EXPECT_EQ(m1.mean(), m2.mean());
+  EXPECT_EQ(m1.variance_sample(), m2.variance_sample());
+
+  // vs the serial pass: exact count/extrema, rounding-level moments.
+  EXPECT_EQ(m1.count(), serial.count());
+  EXPECT_EQ(m1.min(), serial.min());
+  EXPECT_EQ(m1.max(), serial.max());
+  EXPECT_NEAR(m1.mean(), serial.mean(), 1e-12 * std::abs(serial.mean()));
+  EXPECT_NEAR(m1.variance_sample(), serial.variance_sample(),
+              1e-10 * serial.variance_sample());
+}
+
+TEST(BucketMerge, MomentMergeWithEmptyOperandsIsExact) {
+  const std::vector<double> x = count_series(100, 2);
+  stats::MomentAccumulator serial;
+  serial.push(std::span<const double>(x));
+
+  stats::MomentAccumulator a, empty;
+  a.push(std::span<const double>(x));
+  a.merge(empty);  // no-op
+  EXPECT_EQ(a.mean(), serial.mean());
+  EXPECT_EQ(a.variance_sample(), serial.variance_sample());
+
+  stats::MomentAccumulator b;
+  b.merge(a);  // copy into empty
+  EXPECT_EQ(b.mean(), serial.mean());
+  EXPECT_EQ(b.variance_sample(), serial.variance_sample());
+  EXPECT_EQ(b.count(), serial.count());
+}
+
+TEST(BucketMerge, BurstLullMergeIsTrulyAssociative) {
+  const std::vector<double> x = count_series(5000, 6);
+  stats::BurstLullAccumulator serial;
+  serial.push(std::span<const double>(x));
+  const stats::BurstLull want = serial.finish();
+
+  // Contiguous three-way split at arbitrary (run-splitting) boundaries.
+  auto part = [&](std::size_t lo, std::size_t hi) {
+    stats::BurstLullAccumulator acc;
+    acc.push(std::span<const double>(x).subspan(lo, hi - lo));
+    return acc;
+  };
+  stats::BurstLullAccumulator a = part(0, 1237);
+  stats::BurstLullAccumulator b = part(1237, 3411);
+  stats::BurstLullAccumulator c = part(3411, x.size());
+
+  // (a + b) + c
+  stats::BurstLullAccumulator left = a;
+  left.merge(b);
+  left.merge(c);
+  // a + (b + c)
+  stats::BurstLullAccumulator bc = b;
+  bc.merge(c);
+  stats::BurstLullAccumulator right = a;
+  right.merge(bc);
+
+  const stats::BurstLull l = left.finish();
+  const stats::BurstLull r = right.finish();
+  EXPECT_EQ(l.burst_lengths, want.burst_lengths);
+  EXPECT_EQ(l.lull_lengths, want.lull_lengths);
+  EXPECT_EQ(r.burst_lengths, want.burst_lengths);
+  EXPECT_EQ(r.lull_lengths, want.lull_lengths);
+}
+
 // --- Windowed Poisson test ---------------------------------------------
 
 TEST(WindowedPoissonTest, RingMatchesBatchTestOverAlignedWindow) {
@@ -249,6 +335,18 @@ TEST(WhittleRefitter, RejectsMismatchedFrequencyGrid) {
 
 // --- Geometry validation ------------------------------------------------
 
+void expect_geometry_error(const stream::WindowedOptions& opt,
+                           const std::string& needle) {
+  try {
+    stream::window_geometry(opt);
+    ADD_FAILURE() << "geometry accepted; wanted an error naming '" << needle
+                  << "'";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(WindowGeometry, RejectsMisalignedSpansWithReasonedMessages) {
   stream::WindowedOptions opt;
   opt.bin = 1.0;
@@ -266,13 +364,46 @@ TEST(WindowGeometry, RejectsMisalignedSpansWithReasonedMessages) {
   opt.segment_bins = 6;  // does not tile the slide
   EXPECT_THROW(stream::window_geometry(opt), std::invalid_argument);
 
+  // Tiles the slide, but an 8-bin periodogram has 3 ordinates and the
+  // Whittle refit needs 8: rejected up front, not at the first report.
   opt.segment_bins = 8;
+  expect_geometry_error(opt, "even and >= 18");
+  opt.segment_bins = 16;  // 7 ordinates, one short
+  expect_geometry_error(opt, "even and >= 18");
+  // The same limit holds for a derived segment (slide / 2^0 = 16 bins).
+  opt.window = 64.0;
+  opt.slide = 16.0;
+  opt.segment_bins = 0;
+  expect_geometry_error(opt, "derived segment length 16 bins");
+
+  // The smallest geometry that reports: 18-bin segments, 8 ordinates.
+  opt.window = 72.0;
+  opt.slide = 36.0;
+  opt.poisson_interval = 9.0;
+  opt.segment_bins = 18;
   const stream::WindowGeometry g = stream::window_geometry(opt);
-  EXPECT_EQ(g.window_bins, 64u);
-  EXPECT_EQ(g.slide_bins, 32u);
-  EXPECT_EQ(g.segments_per_window, 8u);
+  EXPECT_EQ(g.window_bins, 72u);
+  EXPECT_EQ(g.slide_bins, 36u);
+  EXPECT_EQ(g.segment_bins, 18u);
+  EXPECT_EQ(g.segments_per_window, 4u);
   EXPECT_EQ(g.window_intervals, 8u);
   EXPECT_EQ(g.intervals_per_slide, 4u);
+}
+
+TEST(WindowGeometry, SmallestAcceptedSegmentReports) {
+  // 18 bins is enough for the refitter: the engine reports instead of
+  // throwing "too few ordinates" at its first window.
+  stream::WindowedOptions opt;
+  opt.bin = 1.0;
+  opt.window = 72.0;
+  opt.slide = 36.0;
+  opt.segment_bins = 18;
+  const std::vector<double> times = poisson_arrivals(200.0, 0.25, 7);
+  std::size_t reports = 0;
+  stream::WindowedAnalyzer engine(
+      opt, 0.0, [&](const stream::WindowReport&) { ++reports; });
+  engine.push_times(times);
+  EXPECT_GT(reports, 0u);
 }
 
 // --- End-to-end analyzer vs the from-scratch reference ------------------

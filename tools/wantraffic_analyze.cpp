@@ -14,7 +14,7 @@
 // analyses below see the same record types either way. Ingestion is
 // strict by default; --lenient salvages damaged captures and prints the
 // error ledger. pcap is decoded on the zero-copy path (mmap'd decode,
-// flat flow table, direct columnar emission — DESIGN.md §14). An
+// flat flow table, direct columnar emission — DESIGN.md §13). An
 // ingested packet capture is always analyzed streamed, in one call: a
 // serial pcap run is analyze_pcap_onepass, which decodes the capture
 // once and learns the time range from the packets as they are binned
